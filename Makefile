@@ -18,15 +18,14 @@
 # pytest marker); `bench` regenerates the paper's tables/figures at the
 # quick scale; `bench-json` runs the `repro bench` perf-regression
 # harness and writes the machine-readable BENCH_<date>.json report
-# (see docs/performance.md); `verify-bench` re-times the scalar-vs-batched verification
-# engines and refreshes the committed CSV; `train-bench` does the same for
-# the scalar-vs-vectorized training stages; `lint` is a fast syntax gate
+# (see docs/performance.md); `train-bench` re-times the scalar-vs-vectorized
+# training stages and refreshes the committed CSV; `lint` is a fast syntax gate
 # (no third-party linter is vendored into the image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json verify-bench train-bench lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json train-bench lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,12 +43,10 @@ test-cov:
 		tests/test_service_dedupe.py tests/test_service_faults.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/perf \
 		tests/test_bench_smoke.py
-	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/buffers.py \
-		tests/test_utils_buffers.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/dtypes.py \
 		tests/test_float32_mode.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
-		tests/test_utils_buffers.py
+		tests/test_utils_profiling.py
 
 SHARD_SMOKE_DIR ?= runs/shard-smoke
 shard-smoke:
@@ -95,9 +92,6 @@ bench:
 BENCH_JSON_DIR ?= runs/bench
 bench-json:
 	$(PYTHON) -m repro bench --output $(BENCH_JSON_DIR) --json
-
-verify-bench:
-	REPRO_RECORD=1 $(PYTHON) -m pytest -q -s benchmarks/test_verification_speed.py
 
 train-bench:
 	REPRO_RECORD=1 $(PYTHON) -m pytest -q -s benchmarks/test_training_speed.py

@@ -81,7 +81,6 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "cached", "att
 #: States a job never leaves (``wait``/``--wait`` stop polling here).
 TERMINAL_STATES = ("done", "failed", "cancelled", "cached")
 
-_ENGINES = ("batched", "scalar")
 _PERTURBATIONS = ("none", "attack", "noise")
 
 
@@ -98,13 +97,6 @@ _register_job = register_message(JOB_REGISTRY)
 @dataclass(frozen=True)
 class JobSpec(TypedMessage):
     """Base of every job description; ``TYPE`` is the job kind."""
-
-
-def _require_engine(spec: JobSpec) -> None:
-    if spec.engine not in _ENGINES:
-        raise MessageValidationError(
-            f"{type(spec).__name__}.engine must be one of {_ENGINES}, got {spec.engine!r}"
-        )
 
 
 @_register_job
@@ -171,10 +163,12 @@ class VerifySweepJobSpec(JobSpec):
     """Verify many saved controllers (mirrors ``repro verify-sweep``).
 
     ``specs`` entries use the CLI's ``SYSTEM:DIR[:CONTROLLER]`` syntax;
-    zero-valued budgets mean "unbounded", as on the command line.
+    zero-valued budgets mean "unbounded", as on the command line.  Version
+    2 dropped the v1 ``engine`` field (see :func:`parse_job_spec`).
     """
 
     TYPE: ClassVar[str] = "verify-sweep"
+    SCHEMA_VERSION: ClassVar[int] = 2
     specs: Tuple[str, ...] = ()
     target_error: float = 0.5
     degree: int = 3
@@ -184,7 +178,6 @@ class VerifySweepJobSpec(JobSpec):
     invariant_grid: int = 0
     work_budget: int = 0
     time_budget: float = 0.0
-    engine: str = "batched"
     jobs: int = 0
 
     def _validate(self) -> None:
@@ -192,7 +185,6 @@ class VerifySweepJobSpec(JobSpec):
             raise MessageValidationError(
                 "VerifySweepJobSpec.specs must name at least one SYSTEM:DIR[:CONTROLLER] entry"
             )
-        _require_engine(self)
 
 
 @_register_job
@@ -202,10 +194,12 @@ class MatrixJobSpec(JobSpec):
 
     An empty ``scenarios`` tuple means the whole catalog.  Shard fields are
     deliberately absent: sharding is a run-topology concern, not part of a
-    job's identity -- the daemon's worker pool plays that role.
+    job's identity -- the daemon's worker pool plays that role.  Version 2
+    dropped the v1 ``engine`` field (see :func:`parse_job_spec`).
     """
 
     TYPE: ClassVar[str] = "matrix"
+    SCHEMA_VERSION: ClassVar[int] = 2
     scenarios: Tuple[str, ...] = ()
     perturbations: Tuple[str, ...] = _PERTURBATIONS
     samples: int = 32
@@ -217,14 +211,35 @@ class MatrixJobSpec(JobSpec):
     budget_scale: float = 1.0
     train_overrides: Dict = field(default_factory=dict)
     verify_overrides: Dict = field(default_factory=dict)
-    engine: str = "batched"
 
     def _validate(self) -> None:
         if self.samples <= 0:
             raise MessageValidationError("MatrixJobSpec.samples must be > 0")
         if not self.perturbations:
             raise MessageValidationError("MatrixJobSpec.perturbations must be non-empty")
-        _require_engine(self)
+
+
+#: Kinds whose v1 specs carried an ``engine`` field ("batched" or "scalar").
+_V1_ENGINE_KINDS = ("verify-sweep", "matrix")
+
+
+def _drop_v1_engine(kind: str, payload: Mapping) -> Dict:
+    """A v1 payload without its ``engine`` field, which v2 removed.
+
+    Verification has one engine, the batched one, so ``"batched"`` is
+    dropped without changing what the spec computes (its digest keeps the
+    fixed ``"engine": "batched"`` entry).  Any other engine -- notably the
+    removed ``"scalar"`` one -- is refused rather than run as something else.
+    """
+
+    payload = dict(payload)
+    engine = payload.pop("engine", "batched")
+    if engine != "batched":
+        raise MessageValidationError(
+            f"{kind}: engine {engine!r} was removed; verification has a single (batched) "
+            "engine, so drop the field or set it to 'batched'"
+        )
+    return payload
 
 
 def parse_job_spec(payload: Mapping) -> JobSpec:
@@ -234,7 +249,9 @@ def parse_job_spec(payload: Mapping) -> JobSpec:
     a field the daemon does not know would silently change the job's
     resolved config and therefore its digest -- two "identical" submissions
     would stop deduplicating.  Unknown kinds and newer versions raise
-    :class:`~repro.utils.messages.MessageValidationError` instead.
+    :class:`~repro.utils.messages.MessageValidationError` instead.  Older
+    ``verify-sweep``/``matrix`` specs (v1) still parse: their ``engine``
+    field is dropped when it is ``"batched"`` and refused otherwise.
     """
 
     if not isinstance(payload, Mapping):
@@ -255,6 +272,8 @@ def parse_job_spec(payload: Mapping) -> JobSpec:
             f"{kind}: spec version {version} is newer than this service supports "
             f"(v{cls.SCHEMA_VERSION})"
         )
+    if version == 1 and kind in _V1_ENGINE_KINDS:
+        payload = _drop_v1_engine(kind, payload)
     return cls.from_json(payload)
 
 

@@ -119,18 +119,16 @@ def layer_lipschitz(layer: Linear) -> float:
     return spectral_norm(layer.weight.data)
 
 
-def network_lipschitz(network: MLP, use_cache: bool = True) -> float:
+def network_lipschitz(network: MLP) -> float:
     """Product-of-layer-norms Lipschitz bound from the paper's footnote 1.
 
-    Memoised on a digest of the current weights (see the module docstring);
-    pass ``use_cache=False`` to force recomputation.
+    Memoised on a digest of the current weights (see the module docstring).
     """
 
-    if use_cache:
-        digest = _weights_digest(network)
-        cached = _LIPSCHITZ_CACHE.get(digest)
-        if cached is not None:
-            return cached
+    digest = _weights_digest(network)
+    cached = _LIPSCHITZ_CACHE.get(digest)
+    if cached is not None:
+        return cached
     constant = 1.0
     for layer in network.layers:
         if isinstance(layer, Linear):
@@ -138,10 +136,9 @@ def network_lipschitz(network: MLP, use_cache: bool = True) -> float:
         elif isinstance(layer, Activation):
             constant *= layer.lipschitz_constant
     constant = float(constant)
-    if use_cache:
-        _LIPSCHITZ_CACHE[digest] = constant
-        while len(_LIPSCHITZ_CACHE) > _LIPSCHITZ_CACHE_MAX_ENTRIES:
-            _LIPSCHITZ_CACHE.popitem(last=False)
+    _LIPSCHITZ_CACHE[digest] = constant
+    while len(_LIPSCHITZ_CACHE) > _LIPSCHITZ_CACHE_MAX_ENTRIES:
+        _LIPSCHITZ_CACHE.popitem(last=False)
     return constant
 
 

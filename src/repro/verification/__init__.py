@@ -16,11 +16,11 @@ and therefore longer verification time -- is preserved (see DESIGN.md).
 
 The hot path is **batched and parallel**: Bernstein coefficients, error
 bounds and IBP enclosures for whole stacks of boxes are computed with a few
-NumPy kernels (``engine="batched"``, the default), whole refinement
-frontiers are split per iteration, and many (controller, system) jobs fan
-out across processes via :class:`VerificationSweep`.  The historical
-one-box-at-a-time flow is kept as ``engine="scalar"``; both engines are
-bit-identical (see ``docs/verification.md``).
+NumPy kernels, whole refinement frontiers are split per iteration, and many
+(controller, system) jobs fan out across processes via
+:class:`VerificationSweep`.  The test suite keeps the historical
+one-box-at-a-time flow as a frozen oracle the engine must match bit for bit
+(see ``docs/verification.md``).
 """
 
 from repro.verification.intervals import (

@@ -22,11 +22,10 @@ The module is organised around **batched kernels** that operate on a
 bounds, range enclosures and evaluations for a whole stack of boxes are
 computed with a handful of NumPy calls (one network forward pass for all
 grids).  :class:`BernsteinApproximation` is the single-box view: its fit is
-the batch-of-one special case of the same kernels, so scalar and batched
-verification engines produce bit-identical coefficients.
-:class:`CoefficientCache` memoises coefficient tensors keyed by box, so a
-box revisited during refinement or repeated reachability queries is never
-refit.
+the batch-of-one special case of the same kernels, so a single-box fit and
+row ``p`` of a stacked fit are bit-identical.  :class:`CoefficientCache`
+memoises coefficient tensors keyed by weight digest and box, so a box
+revisited by repeated reachability queries is never refit.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from scipy.special import comb
 from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.systems.sets import Box
-from repro.utils.buffers import global_arena
 from repro.verification.intervals import Interval, apply_row_blocked
 
 FunctionLike = Union[MLP, Callable[[np.ndarray], np.ndarray]]
@@ -107,35 +105,23 @@ def _normalised_degrees(degrees: Union[int, Sequence[int]], dimension: int) -> n
     return degrees
 
 
-def _normalised_box_stack(lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``atleast_2d``/``asarray`` normalisation, hoisted to the batch boundary.
+def bernstein_grid_batch(lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
+    """Coefficient grids for a ``(P, dim)`` box stack, shape ``(P, G, dim)``.
 
-    Every batched kernel funnels through this once; the private ``*_into``
-    kernels below assume already-normalised ``(P, dim)`` float64 stacks and
-    skip the per-call coercion that used to run (repeatedly) inside them.
+    ``G = prod(degrees + 1)`` points per box in ``ij`` meshgrid order, with
+    per-axis ``linspace`` arithmetic, so row ``p`` reproduces the grid of
+    ``Box(lows[p], highs[p])`` alone exactly.  In ``ij`` order, axis ``k``'s
+    column of the flattened grid is its ``degree + 1`` points with the
+    trailing axes' point count as inner repeat and the leading axes' as
+    outer tile -- a pattern one broadcast assignment per axis reproduces.
     """
 
     lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
     highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
-    return lows, highs
-
-
-def _grid_batch_into(
-    lows: np.ndarray, highs: np.ndarray, degrees: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Fill ``out`` (shape ``(P, G, dim)``) with the stacked coefficient grids.
-
-    Same per-axis ``linspace`` arithmetic as the original stacking
-    implementation.  In ``ij`` meshgrid order, axis ``k``'s column of the
-    flattened grid is its ``degree + 1`` points with the trailing axes'
-    point count as inner repeat and the leading axes' as outer tile -- a
-    pattern a broadcast assignment reproduces directly, with no ``(G, dim)``
-    index table, no per-axis fancy-index temporary and no final ``np.stack``.
-    """
-
-    count = lows.shape[0]
-    dimension = len(degrees)
+    count, dimension = lows.shape
+    degrees = _normalised_degrees(degrees, dimension)
     sizes = [int(degree) + 1 for degree in degrees]
+    out = np.empty((count, int(np.prod(sizes)), dimension))
     inner = 1
     for axis in range(dimension - 1, -1, -1):
         side = sizes[axis]
@@ -147,27 +133,6 @@ def _grid_batch_into(
     return out
 
 
-def _grid_point_count(degrees: np.ndarray) -> int:
-    return int(np.prod([int(degree) + 1 for degree in degrees]))
-
-
-def bernstein_grid_batch(lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
-    """Coefficient grids for a ``(P, dim)`` box stack, shape ``(P, G, dim)``.
-
-    ``G = prod(degrees + 1)`` points per box, in the same ``ij`` meshgrid
-    order (and with the same per-axis ``linspace`` arithmetic) as the
-    single-box grid, so row ``p`` reproduces ``Box(lows[p], highs[p])``'s
-    scalar grid exactly.  The returned array is freshly allocated (callers
-    may keep it); the coefficient kernel uses the arena-scratch variant.
-    """
-
-    lows, highs = _normalised_box_stack(lows, highs)
-    dimension = lows.shape[1]
-    degrees = _normalised_degrees(degrees, dimension)
-    out = np.empty((lows.shape[0], _grid_point_count(degrees), dimension))
-    return _grid_batch_into(lows, highs, degrees, out)
-
-
 def _evaluate_function_batch(function: FunctionLike, points: np.ndarray) -> np.ndarray:
     """Evaluate ``function`` on a flat ``(N, dim)`` point array -> ``(N, out)``.
 
@@ -177,10 +142,7 @@ def _evaluate_function_batch(function: FunctionLike, points: np.ndarray) -> np.n
     """
 
     if isinstance(function, MLP):
-        # predict_block is bit-identical to predict on 2-D blocks but reuses
-        # per-layer buffers; apply_row_blocked copies each block out of the
-        # scratch before the next block overwrites it.
-        return np.atleast_2d(apply_row_blocked(function.predict_block, points))
+        return np.atleast_2d(apply_row_blocked(function.predict, points))
     return np.atleast_2d(np.stack([np.atleast_1d(function(point)) for point in points], axis=0))
 
 
@@ -195,21 +157,11 @@ def bernstein_coefficients_batch(
     partition at a time.
     """
 
-    lows, highs = _normalised_box_stack(lows, highs)
-    count, dimension = lows.shape
-    degrees = _normalised_degrees(degrees, dimension)
-    # The grids are consumed within this call, so they live in reusable
-    # arena scratch; the *output* is the fresh array allocated by the
-    # blocked evaluator (CoefficientCache stores rows of it persistently,
-    # so it must never alias the arena).
-    grids = global_arena.take(
-        "bernstein.grids", (count, _grid_point_count(degrees), dimension)
-    )
-    _grid_batch_into(lows, highs, degrees, grids)
-    flat = grids.reshape(-1, dimension)
-    values = _evaluate_function_batch(function, flat)
-    shape = (count,) + tuple(int(degree) + 1 for degree in degrees) + (values.shape[-1],)
-    return values.reshape(shape)
+    grids = bernstein_grid_batch(lows, highs, degrees)
+    count, _, dimension = grids.shape
+    sizes = tuple(int(degree) + 1 for degree in _normalised_degrees(degrees, dimension))
+    values = _evaluate_function_batch(function, grids.reshape(-1, dimension))
+    return values.reshape((count,) + sizes + (values.shape[-1],))
 
 
 def bernstein_enclosure_batch(
@@ -223,18 +175,13 @@ def bernstein_enclosure_batch(
     """
 
     count = coefficients.shape[0]
-    out_dim = coefficients.shape[-1]
-    flat = coefficients.reshape(count, -1, out_dim)
-    # Freshly allocated (returned to callers); reductions and error
-    # inflation run with ``out=`` so no intermediate stacks are built.
-    lower = np.empty((count, out_dim), dtype=coefficients.dtype)
-    upper = np.empty((count, out_dim), dtype=coefficients.dtype)
-    flat.min(axis=1, out=lower)
-    flat.max(axis=1, out=upper)
+    flat = coefficients.reshape(count, -1, coefficients.shape[-1])
+    lower = flat.min(axis=1)
+    upper = flat.max(axis=1)
     if errors is not None:
         errors = np.asarray(errors, dtype=np.float64).reshape(count, 1)
-        np.subtract(lower, errors, out=lower)
-        np.add(upper, errors, out=upper)
+        lower = lower - errors
+        upper = upper + errors
     return lower, upper
 
 
@@ -307,15 +254,6 @@ class CoefficientCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def insert(self, low: np.ndarray, high: np.ndarray, degrees: Sequence[int], coefficients: np.ndarray) -> None:
-        degrees = _normalised_degrees(degrees, np.asarray(low).size)
-        self._store[self._key(self._function_tag(), np.asarray(low), np.asarray(high), degrees)] = coefficients
-        self._evict()
-
-    def _evict(self) -> None:
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
-
     def get_batch(self, lows: np.ndarray, highs: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
         """Stacked coefficients for a ``(P, dim)`` box stack, fitting only misses."""
 
@@ -335,7 +273,8 @@ class CoefficientCache:
             for position, index in enumerate(missing):
                 tensors[index] = fresh[position]
                 self._store[keys[index]] = fresh[position]
-            self._evict()
+            while len(self._store) > self.max_entries:
+                self._store.popitem(last=False)
         return np.stack(tensors, axis=0)
 
 
@@ -355,7 +294,6 @@ class BernsteinApproximation:
         box: Box,
         degrees: Union[int, Sequence[int]],
         lipschitz_constant: Optional[float] = None,
-        coefficients: Optional[np.ndarray] = None,
     ):
         self.box = box
         self.degrees = _normalised_degrees(degrees, box.dimension)
@@ -363,24 +301,9 @@ class BernsteinApproximation:
         if lipschitz_constant is None and isinstance(function, MLP):
             lipschitz_constant = network_lipschitz(function)
         self.lipschitz_constant = lipschitz_constant
-        if coefficients is None:
-            coefficients = bernstein_coefficients_batch(
-                function, box.low[None, :], box.high[None, :], self.degrees
-            )[0]
-        self.coefficients = coefficients
-
-    @classmethod
-    def from_coefficients(
-        cls,
-        function: FunctionLike,
-        box: Box,
-        degrees: Union[int, Sequence[int]],
-        coefficients: np.ndarray,
-        lipschitz_constant: Optional[float] = None,
-    ) -> "BernsteinApproximation":
-        """Wrap a precomputed coefficient tensor (e.g. one row of a batched fit)."""
-
-        return cls(function, box, degrees, lipschitz_constant=lipschitz_constant, coefficients=coefficients)
+        self.coefficients = bernstein_coefficients_batch(
+            function, box.low[None, :], box.high[None, :], self.degrees
+        )[0]
 
     # ------------------------------------------------------------------
     def _evaluate_function(self, points: np.ndarray) -> np.ndarray:

@@ -17,13 +17,13 @@ helpers are their ``M = 1`` wrappers.
 
 from __future__ import annotations
 
-import weakref
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.nn.layers import Activation, Linear
+from repro.nn.network import _apply_activation_array
 from repro.systems.sets import Box
-from repro.utils.buffers import global_arena
 
 Scalar = Union[int, float]
 
@@ -31,8 +31,8 @@ Scalar = Union[int, float]
 #: matrix products round slightly differently depending on the row count, so
 #: evaluating every stack in padded blocks of this exact height makes each
 #: row's result independent of how many boxes were batched together -- the
-#: property that lets the scalar and batched verification engines agree bit
-#: for bit.
+#: property that lets a box's enclosure agree bit for bit whether it was
+#: computed alone or stacked with others.
 EVAL_BLOCK_ROWS = 64
 
 
@@ -43,9 +43,7 @@ def apply_row_blocked(function, rows: np.ndarray) -> np.ndarray:
     a matrix product is computed independently, so padding rows cannot
     perturb real ones) and the padding is sliced off the output.
 
-    The returned array is freshly allocated and owned by the caller; only
-    the padded-tail block uses reusable arena scratch, so ``function`` must
-    not retain references to its input chunk beyond the call.
+    The returned array is freshly allocated and owned by the caller.
     """
 
     count = rows.shape[0]
@@ -54,9 +52,7 @@ def apply_row_blocked(function, rows: np.ndarray) -> np.ndarray:
         chunk = rows[start : start + EVAL_BLOCK_ROWS]
         valid = chunk.shape[0]
         if valid < EVAL_BLOCK_ROWS:
-            padded = global_arena.take(
-                "row_blocked.pad", (EVAL_BLOCK_ROWS,) + chunk.shape[1:], rows.dtype
-            )
+            padded = np.empty((EVAL_BLOCK_ROWS,) + chunk.shape[1:], dtype=rows.dtype)
             padded[:valid] = chunk
             padded[valid:] = chunk[-1]
             chunk = padded
@@ -231,91 +227,6 @@ def interval_matmul(matrix: np.ndarray, interval: Interval) -> Interval:
     return Interval(new_center - new_radius, new_center + new_radius)
 
 
-def _inplace_activation(name: str, lower: np.ndarray, upper: np.ndarray) -> None:
-    """Apply a monotone activation to both bound arrays in place.
-
-    Each branch performs the exact same float64 operation sequence as the
-    original allocating expressions (``np.divide(1.0, x)`` is bitwise
-    ``1.0 / x``), so in-place evaluation cannot drift a single bit.
-    """
-
-    if name == "relu":
-        np.maximum(lower, 0.0, out=lower)
-        np.maximum(upper, 0.0, out=upper)
-    elif name == "tanh":
-        np.tanh(lower, out=lower)
-        np.tanh(upper, out=upper)
-    elif name == "sigmoid":
-        for bound in (lower, upper):
-            np.negative(bound, out=bound)
-            np.exp(bound, out=bound)
-            np.add(bound, 1.0, out=bound)
-            np.divide(1.0, bound, out=bound)
-    # identity: unchanged
-
-
-#: Per-network IBP propagation plans: hoisted weight views, |W| matrices and
-#: reusable 64-row block buffers.  Weak-keyed so dropping a network drops
-#: its plan.
-_IBP_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _ibp_plan(network):
-    """The network's propagation plan: ``[(kind, payload), ...]`` steps.
-
-    For linear layers the payload bundles ``(weight, bias, |weight|,
-    block_buffers)`` with ``|weight|`` computed once and six preallocated
-    ``EVAL_BLOCK_ROWS``-tall scratch blocks reused across every block of
-    every subsequent call.  Plans are memoised per network and invalidated
-    by *array identity*: the repo's optimizers always rebind
-    ``parameter.data`` to a fresh array (never mutate in place), and the
-    cached plan keeps references to the old arrays so their ids cannot be
-    recycled -- an identity match therefore guarantees the weights are
-    unchanged.
-    """
-
-    from repro.nn.layers import Activation, Linear
-
-    refs = []
-    for layer in network.layers:
-        if isinstance(layer, Linear):
-            refs.append(layer.weight.data)
-            refs.append(layer.bias.data)
-    cached = _IBP_PLAN_CACHE.get(network)
-    if cached is not None:
-        cached_refs, cached_steps = cached
-        if len(cached_refs) == len(refs) and all(
-            left is right for left, right in zip(cached_refs, refs)
-        ):
-            return cached_steps
-
-    arena = global_arena
-    rows = EVAL_BLOCK_ROWS
-    steps = []
-    linear_index = 0
-    for layer in network.layers:
-        if isinstance(layer, Linear):
-            weight = layer.weight.data
-            in_width, out_width = weight.shape
-            buffers = (
-                arena.take(f"ibp.center.{linear_index}", (rows, in_width)),
-                arena.take(f"ibp.radius.{linear_index}", (rows, in_width)),
-                arena.take(f"ibp.new_center.{linear_index}", (rows, out_width)),
-                arena.take(f"ibp.new_radius.{linear_index}", (rows, out_width)),
-                arena.take(f"ibp.lower.{linear_index}", (rows, out_width)),
-                arena.take(f"ibp.upper.{linear_index}", (rows, out_width)),
-            )
-            steps.append(("linear", (weight, layer.bias.data, np.abs(weight), buffers)))
-            linear_index += 1
-        elif isinstance(layer, Activation):
-            steps.append(("activation", layer.name))
-    try:
-        _IBP_PLAN_CACHE[network] = (refs, steps)
-    except TypeError:  # non-weakref-able network stand-ins: just rebuild
-        pass
-    return steps
-
-
 def network_output_bounds_batch(network, lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Interval bound propagation through an MLP for an ``(M, dim)`` box stack.
 
@@ -323,34 +234,26 @@ def network_output_bounds_batch(network, lows: np.ndarray, highs: np.ndarray) ->
     linear layer and one elementwise monotone map per activation, returning
     ``(lower, upper)`` arrays of shape ``(M, output_dim)``.  This is the
     kernel behind every IBP query of the verification engine; the scalar
-    :func:`network_output_bounds` is its ``M = 1`` wrapper.
+    :func:`network_output_bounds` is its ``M = 1`` wrapper.  The weights are
+    read afresh on every call, so an enclosure always belongs to the
+    network's current weights.
     """
 
-    steps = _ibp_plan(network)
-
     def propagate(bounds: np.ndarray) -> np.ndarray:
-        # Copy the paired bounds into reusable contiguous blocks once per
-        # 64-row chunk; every later op then runs in place on arena scratch.
-        lower = global_arena.take("ibp.lower.in", bounds.shape[:-1])
-        upper = global_arena.take("ibp.upper.in", bounds.shape[:-1])
-        lower[...] = bounds[..., 0]
-        upper[...] = bounds[..., 1]
-        for kind, payload in steps:
-            if kind == "linear":
-                weight, bias, abs_weight, buffers = payload
-                center, radius, new_center, new_radius, new_lower, new_upper = buffers
-                np.add(lower, upper, out=center)
-                np.divide(center, 2.0, out=center)
-                np.subtract(upper, lower, out=radius)
-                np.divide(radius, 2.0, out=radius)
-                np.matmul(center, weight, out=new_center)
-                np.add(new_center, bias, out=new_center)
-                np.matmul(radius, abs_weight, out=new_radius)
-                np.subtract(new_center, new_radius, out=new_lower)
-                np.add(new_center, new_radius, out=new_upper)
-                lower, upper = new_lower, new_upper
-            else:
-                _inplace_activation(payload, lower, upper)
+        lower = bounds[..., 0]
+        upper = bounds[..., 1]
+        for layer in network.layers:
+            if isinstance(layer, Linear):
+                weight = layer.weight.data
+                center = (lower + upper) / 2.0
+                radius = (upper - lower) / 2.0
+                new_center = center @ weight + layer.bias.data
+                new_radius = radius @ np.abs(weight)
+                lower = new_center - new_radius
+                upper = new_center + new_radius
+            elif isinstance(layer, Activation):
+                lower = _apply_activation_array(layer, lower)
+                upper = _apply_activation_array(layer, upper)
         return np.stack([lower, upper], axis=-1)
 
     stacked = np.stack(

@@ -77,11 +77,11 @@ class TestParser:
         assert args.command == "verify-sweep"
         assert args.spec == ["vanderpol:runs/vdp"]
         assert args.jobs == 0
-        assert args.engine == "batched"
 
-    def test_verify_sweep_rejects_unknown_engine(self):
+    @pytest.mark.parametrize("verb", [["verify", "--controller-dir", "x"], ["verify-sweep", "--spec", "vanderpol:x"]])
+    def test_engine_flag_is_gone(self, verb):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["verify-sweep", "--spec", "vanderpol:x", "--engine", "turbo"])
+            build_parser().parse_args([*verb, "--engine", "batched"])
 
     def test_verify_sweep_requires_a_source(self):
         with pytest.raises(SystemExit):

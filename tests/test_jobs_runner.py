@@ -22,6 +22,7 @@ from repro.jobs.messages import (
     MatrixJobSpec,
     TrainJobSpec,
     VerifySweepJobSpec,
+    parse_job_spec,
 )
 from repro.jobs.runner import (
     JobSpecError,
@@ -33,6 +34,7 @@ from repro.jobs.runner import (
     resolve_job,
     sweep_payload,
 )
+from repro.utils.messages import MessageValidationError
 
 TINY_TRAIN = ["--mixing-epochs", "1", "--mixing-steps", "64", "--distill-epochs", "2",
               "--dataset-size", "64", "--eval-samples", "8"]
@@ -173,7 +175,6 @@ class TestSweepSpecErrors:
 
 
 class _StubReport:
-    engine = "batched"
     num_verified = 1
     num_failed = 0
 
@@ -228,7 +229,7 @@ class TestMatrixEquivalence:
             scenarios=["pendulum"], perturbations=["none", "noise"],
             samples=4, fraction=0.1, train=False, verify=False,
             seed=0, budget_scale=1.0, train_overrides=None,
-            verify_overrides=None, engine="batched",
+            verify_overrides=None,
         )
 
     def test_digest_is_stable_and_sensitive(self, tmp_path):
@@ -246,3 +247,86 @@ class TestMatrixEquivalence:
         with pytest.raises(JobSpecError) as excinfo:
             resolve_job(MatrixJobSpec(scenarios=("quadrotor",), train=False, verify=False))
         assert "unknown scenario 'quadrotor'" in str(excinfo.value)
+
+
+class TestEngineFieldCompatibility:
+    """Specs and store keys written while verification had an ``engine``
+    option keep resolving to the same digests.
+
+    The literal digests below were produced by the code that still had the
+    option (spec version 1, ``engine="batched"``); they must never move.
+    """
+
+    V1_SWEEP = {
+        "type": "verify-sweep", "version": 1, "specs": [], "target_error": 0.5,
+        "degree": 2, "max_partitions": 2048, "reach_steps": 15, "reach_box_scale": 0.1,
+        "invariant_grid": 0, "work_budget": 0, "time_budget": 0.0, "engine": "batched",
+        "jobs": 0,
+    }
+    V1_MATRIX = {
+        "type": "matrix", "version": 1, "scenarios": ["pendulum"],
+        "perturbations": ["none", "noise"], "samples": 4, "fraction": 0.1, "train": False,
+        "verify": False, "jobs": 0, "seed": 0, "budget_scale": 1.0, "train_overrides": {},
+        "verify_overrides": {}, "engine": "batched",
+    }
+
+    @staticmethod
+    def _seeded_controller_dir(tmp_path):
+        from repro.nn import MLP
+        from repro.nn.serialization import save_state_dict
+
+        directory = tmp_path / "ctrl"
+        directory.mkdir()
+        save_state_dict(MLP(2, 1, hidden_sizes=(4,), seed=0), directory / "kappa_star.npz")
+        (directory / "record.json").write_text(
+            json.dumps({"controllers": {"kappa_star": "kappa_star.npz"}})
+        )
+        return directory
+
+    def test_v1_sweep_spec_parses_to_the_same_digest(self, tmp_path):
+        from repro.experiments import RunStore
+
+        directory = self._seeded_controller_dir(tmp_path)
+        payload = dict(self.V1_SWEEP, specs=[f"pendulum:{directory}"])
+        spec = parse_job_spec(payload)
+        assert spec == VerifySweepJobSpec(specs=(f"pendulum:{directory}",), degree=2)
+        assert job_key(RunStore(tmp_path / "store"), spec).digest == (
+            "bc980d9b2f1d33cff6d231b133444aee92592b79923f273a2cb00fca14d17ecc"
+        )
+
+    def test_v1_matrix_spec_parses_to_the_same_digest(self, tmp_path):
+        from repro.experiments import RunStore
+
+        spec = parse_job_spec(self.V1_MATRIX)
+        assert spec == MATRIX_SPEC
+        assert job_key(RunStore(tmp_path / "store"), spec).digest == (
+            "0fd97ce9a152fd13e57db91c4aa3066d6d21151b6d43c6a4eac4612a70ece276"
+        )
+
+    @pytest.mark.parametrize("kind", ["verify-sweep", "matrix"])
+    def test_v1_scalar_engine_is_refused(self, kind):
+        if kind == "verify-sweep":
+            payload = dict(self.V1_SWEEP, specs=["pendulum:x"], engine="scalar")
+        else:
+            payload = dict(self.V1_MATRIX, engine="scalar")
+        with pytest.raises(MessageValidationError, match="engine 'scalar' was removed"):
+            parse_job_spec(payload)
+
+    @pytest.mark.parametrize("kind", ["verify-sweep", "matrix"])
+    def test_current_version_has_no_engine_field(self, kind):
+        spec = VerifySweepJobSpec(specs=("pendulum:x",)) if kind == "verify-sweep" else MATRIX_SPEC
+        payload = spec.to_json()
+        assert payload["version"] == 2 and "engine" not in payload
+        with pytest.raises(MessageValidationError, match="unexpected field"):
+            parse_job_spec(dict(payload, engine="batched"))
+
+    def test_sweep_job_store_key_is_unchanged(self, tmp_path):
+        from repro.experiments import RunStore
+        from repro.nn import MLP
+        from repro.verification.sweep import SweepJob
+
+        job = SweepJob.from_network(
+            "kappa_star@pendulum", "pendulum", MLP(2, 1, hidden_sizes=(4,), seed=0), degree=2
+        )
+        key = RunStore(tmp_path / "store").key("verify", job.cache_config())
+        assert key.digest == "f643f1eb875bf6ccec9919bb472e2f6fbf812ba3c0daabb5ea6369bce74fb425"

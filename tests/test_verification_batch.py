@@ -1,4 +1,4 @@
-"""Scalar-vs-batched equivalence of the verification engine.
+"""Batch-of-one equivalence and invariants of the verification kernels.
 
 The load-bearing guarantees, mirroring ``tests/test_systems_batch.py`` for
 the rollout engine:
@@ -7,16 +7,19 @@ the rollout engine:
   reproduce the single-box results **bit for bit** -- every network forward
   pass runs in fixed-width row blocks, so a box's numbers do not depend on
   how many boxes were batched with it;
-* ``engine="scalar"`` and ``engine="batched"`` produce identical
-  partitions, boxes, verdicts and work counts for seeded controllers on
-  all three systems -- reach tubes and invariant masks included;
+* results always belong to the network's current weights, even after an
+  in-place weight write;
 * the sweep harness returns the same verdicts inline and across a pool,
   and enforces its per-job budgets.
+
+End-to-end equivalence with the historical one-box-at-a-time flow lives in
+the oracle pack, ``tests/test_verification_oracle.py``.
 """
 
 import numpy as np
 import pytest
 
+from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.systems import make_system
 from repro.systems.sets import Box
@@ -37,12 +40,9 @@ from repro.verification.intervals import (
     refined_network_output_bounds,
     refined_network_output_bounds_batch,
 )
-from repro.verification.invariant import compute_invariant_set
 from repro.verification.partition import partition_network
-from repro.verification.reachability import reachable_sets
 from repro.verification.sweep import SweepJob, VerificationSweep, run_sweep_job
 from repro.verification.system_models import interval_dynamics, interval_dynamics_batch
-from repro.verification.verifier import verify_controller
 
 SYSTEM_NAMES = ["vanderpol", "3d", "cartpole"]
 
@@ -202,129 +202,39 @@ class TestIntervalDynamicsBatch:
             np.testing.assert_array_equal(batched.upper[row], scalar.upper)
 
 
-class TestEngineEquivalence:
-    """The acceptance guarantee: both engines agree bit for bit end to end."""
+class TestInPlaceWeightWrites:
+    """No verification result may belong to weights other than the current ones.
 
-    @pytest.mark.parametrize("name", SYSTEM_NAMES)
-    def test_partitions_boxes_and_coefficients_identical(self, name):
-        system = make_system(name)
-        network = seeded_controller(system)
-        scalar = partition_network(network, system.safe_region, target_error=0.4, degree=2, engine="scalar")
-        batched = partition_network(network, system.safe_region, target_error=0.4, degree=2, engine="batched")
-        assert scalar.num_partitions == batched.num_partitions
-        assert scalar.refinement_steps == batched.refinement_steps
-        assert scalar.max_error == batched.max_error
-        assert scalar.total_coefficients() == batched.total_coefficients()
-        for scalar_box, batched_box in zip(scalar.boxes, batched.boxes):
-            np.testing.assert_array_equal(scalar_box.low, batched_box.low)
-            np.testing.assert_array_equal(scalar_box.high, batched_box.high)
-        for scalar_model, batched_model in zip(scalar.models, batched.models):
-            np.testing.assert_array_equal(scalar_model.coefficients, batched_model.coefficients)
+    The optimizers rebind ``parameter.data``, but nothing stops a caller
+    from writing the weights in place; every kernel must then agree with a
+    freshly built network carrying the same weights.
+    """
 
-    def test_max_partitions_budget_identical(self):
-        system = make_system("vanderpol")
-        network = seeded_controller(system, scale=1.3)
-        scalar = partition_network(
-            network, system.safe_region, target_error=1e-3, degree=2, max_partitions=37, engine="scalar"
-        )
-        batched = partition_network(
-            network, system.safe_region, target_error=1e-3, degree=2, max_partitions=37, engine="batched"
-        )
-        assert scalar.num_partitions == batched.num_partitions <= 37
-        for scalar_box, batched_box in zip(scalar.boxes, batched.boxes):
-            np.testing.assert_array_equal(scalar_box.low, batched_box.low)
-            np.testing.assert_array_equal(scalar_box.high, batched_box.high)
-
-    @pytest.mark.parametrize("name", SYSTEM_NAMES)
-    def test_control_bounds_identical(self, name):
-        system = make_system(name)
-        network = seeded_controller(system)
+    def _queries(self, network, lows, highs):
         approximation = partition_network(
-            network, system.safe_region, target_error=0.4, degree=2, engine="batched"
+            network, Box([-2, -2], [2, 2]), target_error=0.5, degree=2, max_partitions=64
         )
-        rng = np.random.default_rng(7)
-        lows, highs = random_boxes(system.safe_region, 6, rng)
-        batched_lower, batched_upper = approximation.control_bounds_batch(lows, highs)
-        for index in range(lows.shape[0]):
-            query = Box(lows[index], highs[index])
-            scalar = approximation.control_bounds(query, engine="scalar")
-            np.testing.assert_array_equal(batched_lower[index], scalar.lower)
-            np.testing.assert_array_equal(batched_upper[index], scalar.upper)
-
-    @pytest.mark.parametrize("name", SYSTEM_NAMES)
-    def test_reachability_identical(self, name):
-        system = make_system(name)
-        network = seeded_controller(system)
-        approximation = partition_network(
-            network, system.safe_region, target_error=0.4, degree=2, engine="batched"
-        )
-        initial_box = Box(
-            system.initial_set.center - 0.05 * system.initial_set.widths,
-            system.initial_set.center + 0.05 * system.initial_set.widths,
-        )
-        scalar = reachable_sets(system, approximation, initial_box, steps=6, engine="scalar")
-        batched = reachable_sets(system, approximation, initial_box, steps=6, engine="batched")
-        assert scalar.status == batched.status
-        assert scalar.steps_completed == batched.steps_completed
-        assert scalar.work == batched.work
-        assert len(scalar.boxes) == len(batched.boxes)
-        for scalar_box, batched_box in zip(scalar.boxes, batched.boxes):
-            np.testing.assert_array_equal(scalar_box.low, batched_box.low)
-            np.testing.assert_array_equal(scalar_box.high, batched_box.high)
-
-    def test_invariant_set_identical(self):
-        system = make_system("vanderpol")
-        network = seeded_controller(system)
-        scalar = compute_invariant_set(
-            system, network, grid_resolution=10, target_error=0.4, degree=2, engine="scalar"
-        )
-        batched = compute_invariant_set(
-            system, network, grid_resolution=10, target_error=0.4, degree=2, engine="batched"
-        )
-        np.testing.assert_array_equal(scalar.invariant_mask, batched.invariant_mask)
-        assert scalar.iterations == batched.iterations
-        assert scalar.work == batched.work
-        assert scalar.num_partitions == batched.num_partitions
-
-    def test_verify_controller_reports_identical(self):
-        system = make_system("vanderpol")
-        network = seeded_controller(system)
-        initial_box = Box([0.05, 0.05], [0.15, 0.15])
-        deterministic = (
-            "controller", "lipschitz", "partitions", "epsilon", "verified",
-            "reach_status", "reach_work", "reach_steps", "invariant_fraction", "invariant_work",
-        )
-        reports = {
-            engine: verify_controller(
-                system,
-                network,
-                target_error=0.4,
-                degree=2,
-                reach_initial_box=initial_box,
-                reach_steps=6,
-                invariant_grid=8,
-                engine=engine,
-            ).summary()
-            for engine in ("scalar", "batched")
+        return {
+            "ibp": network_output_bounds_batch(network, lows, highs),
+            "refined_ibp": refined_network_output_bounds_batch(network, lows, highs, splits_per_dim=2),
+            "coefficients": bernstein_coefficients_batch(network, lows, highs, [2, 2]),
+            "lipschitz": network_lipschitz(network),
+            "control_bounds": approximation.control_bounds_batch(lows, highs),
         }
-        for key in deterministic:
-            assert reports["scalar"][key] == reports["batched"][key], key
 
-    def test_work_budget_exhaustion_identical(self):
-        system = make_system("vanderpol")
-        network = seeded_controller(system)
-        approximation = partition_network(
-            network, system.safe_region, target_error=0.2, degree=3, engine="batched"
-        )
-        initial_box = Box([0.0, 0.0], [0.1, 0.1])
-        scalar = reachable_sets(
-            system, approximation, initial_box, steps=10, work_budget=1, engine="scalar"
-        )
-        batched = reachable_sets(
-            system, approximation, initial_box, steps=10, work_budget=1, engine="batched"
-        )
-        assert scalar.status == batched.status == "resource-exhausted"
-        assert scalar.work == batched.work
+    def test_results_follow_an_in_place_weight_write(self):
+        network = MLP(2, 1, hidden_sizes=(16, 16), seed=0)
+        lows, highs = random_boxes(Box([-2, -2], [2, 2]), 5, np.random.default_rng(4))
+        before = self._queries(network, lows, highs)
+        for parameter in network.parameters():
+            parameter.data *= 10
+        fresh = MLP(2, 1, hidden_sizes=(16, 16))
+        fresh.load_state_dict(network.state_dict())
+        after = self._queries(network, lows, highs)
+        expected = self._queries(fresh, lows, highs)
+        for name in expected:
+            np.testing.assert_array_equal(after[name], expected[name], err_msg=name)
+            assert not np.array_equal(after[name], before[name]), name
 
 
 DETERMINISTIC_SUMMARY_KEYS = (
@@ -362,14 +272,6 @@ class TestVerificationSweep:
             assert inline_result.status == pooled_result.status == "ok"
             for key in DETERMINISTIC_SUMMARY_KEYS:
                 assert inline_result.summary[key] == pooled_result.summary[key], key
-
-    def test_scalar_and_batched_sweeps_agree(self):
-        jobs = self._jobs()
-        scalar = VerificationSweep(jobs, processes=1, engine="scalar").run()
-        batched = VerificationSweep(jobs, processes=1, engine="batched").run()
-        for scalar_result, batched_result in zip(scalar.results, batched.results):
-            for key in DETERMINISTIC_SUMMARY_KEYS:
-                assert scalar_result.summary[key] == batched_result.summary[key], key
 
     def test_failed_job_is_contained(self):
         wrong_dims = MLP(4, 1, hidden_sizes=(8,), seed=1)
