@@ -20,7 +20,8 @@
 # harness and writes the machine-readable BENCH_<date>.json report
 # (see docs/performance.md); `train-bench` re-times the scalar-vs-vectorized
 # training stages and refreshes the committed CSV; `lint` is a fast syntax gate
-# (no third-party linter is vendored into the image).
+# over src, tests, benchmarks, examples, cellbench and tools (no third-party
+# linter is vendored into the image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
@@ -97,4 +98,4 @@ train-bench:
 	REPRO_RECORD=1 $(PYTHON) -m pytest -q -s benchmarks/test_training_speed.py
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples cellbench tools

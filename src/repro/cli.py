@@ -60,11 +60,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import make_system
-from repro.utils.persistence import load_student_controller
+from repro.jobs.messages import EvaluateJobSpec, MatrixJobSpec, TrainJobSpec, VerifySweepJobSpec
+from repro.jobs.runner import JobSpecError
+from repro.utils.messages import MessageValidationError
 from repro.verification import verify_controller
 
 
@@ -115,15 +119,80 @@ def _add_system_argument(parser: argparse.ArgumentParser, default: Optional[str]
     )
 
 
-def _load_controller(directory: Path, name: str):
-    """Load a saved student, exiting with the available names on a miss."""
+#: Argparse ``type`` of the spec fields whose flag value is not the
+#: annotation's base type: scenario names are checked against the registry
+#: at parse time, and directories go through ``Path`` (``runs/x/`` -> ``runs/x``).
+_FIELD_TYPES = {"scenarios": _scenario_argument, "output": Path, "controller_dir": Path}
 
+
+def _spec_flags(spec_cls):
+    """Yield ``(field, base type, dest)`` for every CLI field of a job spec.
+
+    A tuple field is a repeatable singular flag (``scenarios`` ->
+    ``--scenario``), a ``True``-default boolean a ``--no-<name>`` switch,
+    and any other field a ``--<name>`` flag; ``cli=False`` metadata keeps a
+    field off the command line.
+    """
+
+    hints = typing.get_type_hints(spec_cls)
+    for spec_field in fields(spec_cls):
+        if not spec_field.metadata.get("cli", True):
+            continue
+        kind = hints[spec_field.name]
+        if typing.get_origin(kind) is typing.Union:  # Optional[T]
+            kind = next(arm for arm in typing.get_args(kind) if arm is not type(None))
+        kind = typing.get_origin(kind) or kind
+        dest = spec_field.name
+        if kind is tuple:
+            dest = dest[:-1]
+        elif kind is bool:
+            dest = f"no_{dest}"
+        yield spec_field, kind, dest
+
+
+def _add_spec_arguments(parser: argparse.ArgumentParser, spec_cls) -> None:
+    """Declare a job verb's flags from its spec's fields (see :func:`_spec_flags`).
+
+    Each flag takes the field default and the annotation's base type; the
+    field metadata supplies ``help``/``required``/``metavar``/``choices``.
+    """
+
+    for spec_field, kind, dest in _spec_flags(spec_cls):
+        if dest == "system":
+            _add_system_argument(parser, default=spec_field.default)
+            continue
+        options = dict(spec_field.metadata)
+        flag = "--" + dest.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", **options)
+            continue
+        if kind is tuple:
+            options["action"] = "append"
+        elif not options.get("required"):
+            options["default"] = spec_field.default
+        options["type"] = _FIELD_TYPES.get(spec_field.name, kind if kind in (int, float) else None)
+        parser.add_argument(flag, **options)
+
+
+def _spec_from_args(spec_cls, args: argparse.Namespace, **values):
+    """The job spec a verb's parsed flags describe; ``values`` set fields directly.
+
+    A spec that fails validation exits with its message, not a traceback.
+    """
+
+    for spec_field, kind, dest in _spec_flags(spec_cls):
+        value = getattr(args, dest)
+        if kind is tuple:
+            value = tuple(value or ())
+        elif kind is bool:
+            value = not value
+        elif isinstance(value, Path):
+            value = str(value)
+        values.setdefault(spec_field.name, value)
     try:
-        return load_student_controller(directory, name=name)
-    except FileNotFoundError as error:
-        raise SystemExit(f"no saved controllers found in {directory}: {error}")
-    except KeyError as error:
-        raise SystemExit(str(error.args[0]) if error.args else str(error))
+        return spec_cls(**values)
+    except MessageValidationError as error:
+        raise SystemExit(str(error))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,41 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     train = subparsers.add_parser("train", help="run the Cocktail pipeline and save the students")
-    _add_system_argument(train)
-    train.add_argument("--output", type=Path, required=True, help="directory for the saved controllers")
-    # Budget flags default to the scenario's train_budget hints (resolved
-    # after parsing, once --system is known); explicit values win.
-    hint = "(default: the scenario's budget hint)"
-    train.add_argument("--mixing-epochs", type=int, default=None, help=f"PPO mixing epochs {hint}")
-    train.add_argument("--mixing-steps", type=int, default=None, help=f"PPO steps per epoch {hint}")
-    train.add_argument("--distill-epochs", type=int, default=None, help=f"distillation epochs {hint}")
-    train.add_argument("--dataset-size", type=int, default=None, help=f"distillation dataset size {hint}")
-    train.add_argument("--eval-samples", type=int, default=None, help=f"Monte-Carlo evaluation samples {hint}")
-    # Vectorization widths default to the scenario hint and then to the
-    # CPU-derived defaults of repro.utils.parallel; 1 = the scalar training
-    # path (bit-identical to the historical per-step/per-sample loops).
-    train.add_argument(
-        "--num-envs",
-        type=int,
-        default=None,
-        help="parallel PPO mixing environments advanced in lockstep "
-        "(default: scenario hint, then a CPU-derived width; 1 = scalar path)",
-    )
-    train.add_argument(
-        "--train-batch-size",
-        type=int,
-        default=None,
-        help="lockstep teacher rollouts / labels per batched query during "
-        "distillation dataset collection (default: scenario hint, then a "
-        "CPU-derived width; 1 = scalar path)",
-    )
-    train.add_argument(
-        "--eval-batch-size",
-        type=int,
-        default=0,
-        help="Monte-Carlo rollouts advanced in lockstep (0 = whole sample as one batch)",
-    )
-    train.add_argument("--seed", type=int, default=0)
+    _add_spec_arguments(train, TrainJobSpec)
     train.add_argument(
         "--run-dir",
         type=Path,
@@ -175,23 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     evaluate = subparsers.add_parser("evaluate", help="evaluate a saved student controller")
-    _add_system_argument(evaluate)
-    evaluate.add_argument("--controller-dir", type=Path, required=True)
-    evaluate.add_argument(
-        "--controller",
-        default="kappa_star",
-        help="any controller saved in --controller-dir (default kappa_star)",
-    )
-    evaluate.add_argument("--perturbation", default="none", choices=["none", "attack", "noise"])
-    evaluate.add_argument("--fraction", type=float, default=0.1)
-    evaluate.add_argument("--samples", type=int, default=200)
-    evaluate.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        help="Monte-Carlo rollouts advanced in lockstep (0 = whole sample as one batch)",
-    )
-    evaluate.add_argument("--seed", type=int, default=0)
+    _add_spec_arguments(evaluate, EvaluateJobSpec)
 
     verify = subparsers.add_parser("verify", help="verify a saved student controller")
     _add_system_argument(verify)
@@ -215,30 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "verify-sweep", help="verify many saved controllers across a process pool"
     )
-    sweep.add_argument(
-        "--spec",
-        action="append",
-        default=None,
-        metavar="SYSTEM:DIR[:CONTROLLER]",
-        help="one verification job source; repeatable; omitting CONTROLLER expands to every "
-        "controller recorded in DIR (kappa_star and, when present, kappaD)",
-    )
+    _add_spec_arguments(sweep, VerifySweepJobSpec)
     _add_system_argument(sweep, default=None)
     sweep.add_argument("--controller-dir", type=Path, default=None,
                        help="controller directory for the --system shorthand")
-    sweep.add_argument("--jobs", type=int, default=0,
-                       help="worker processes for the sweep pool (0 = one per job, capped at the CPU count)")
-    sweep.add_argument("--target-error", type=float, default=0.5)
-    sweep.add_argument("--degree", type=int, default=3)
-    sweep.add_argument("--max-partitions", type=int, default=2048)
-    sweep.add_argument("--reach-steps", type=int, default=15, help="reachability horizon per job")
-    sweep.add_argument("--reach-box-scale", type=float, default=0.1, help="initial reach box as a fraction of X0")
-    sweep.add_argument("--invariant-grid", type=int, default=0, help="0 disables the invariant-set analysis")
-    sweep.add_argument("--work-budget", type=int, default=0,
-                       help="per-job reachability work budget in Bernstein coefficients (0 = unbounded); "
-                       "exceeding it aborts with status 'resource-exhausted'")
-    sweep.add_argument("--time-budget", type=float, default=0.0,
-                       help="per-job wall-clock budget in seconds, checked at phase boundaries (0 = unbounded)")
     sweep.add_argument("--csv", type=Path, default=None, help="write one CSV row per job to this path")
     sweep.add_argument(
         "--run-dir",
@@ -256,24 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = scenario_commands.add_parser(
         "run", help="run the (scenario x controller x perturbation) matrix"
     )
-    run.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        type=_scenario_argument,
-        metavar="SCENARIO",
-        help="restrict the matrix to this scenario (repeatable; default: the whole catalog)",
-    )
-    run.add_argument("--samples", type=int, default=32, help="Monte-Carlo rollouts per evaluation cell")
-    run.add_argument("--fraction", type=float, default=0.1, help="attack/noise magnitude fraction")
-    run.add_argument("--budget-scale", type=float, default=1.0,
-                     help="uniformly scale each scenario's training budget hints")
-    run.add_argument("--no-train", action="store_true",
-                     help="skip training kappa_star (evaluates the analytic experts only)")
-    run.add_argument("--no-verify", action="store_true", help="skip the verification cells")
-    run.add_argument("--jobs", type=int, default=0,
-                     help="verification worker processes (0 = one per scenario, capped at the CPU count)")
-    run.add_argument("--seed", type=int, default=0)
+    _add_spec_arguments(run, MatrixJobSpec)
     run.add_argument("--csv", type=Path, default=None, help="write one CSV row per matrix cell")
     run.add_argument(
         "--run-dir",
@@ -362,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="the run directory the shards wrote into")
     runs_merge.add_argument("--csv", type=Path, default=None,
                             help="write the merged per-cell CSV to this path")
-    runs_merge.add_argument("--jobs", type=int, default=1,
-                            help="unused during replay; kept for symmetry with `scenarios run`")
     runs_gc = runs_commands.add_parser(
         "gc", help="remove incomplete entries (and, with --stage, whole stages)"
     )
@@ -478,82 +458,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_budget(explicit, hints, key, fallback):
-    """An explicitly passed CLI value wins; then the scenario hint; then ``fallback``."""
+def _run_store(run_dir: Optional[Path]):
+    from repro.experiments import RunStore
 
-    if explicit is not None:
-        return explicit
-    return type(fallback)(hints.get(key, fallback))
+    return None if run_dir is None else RunStore(run_dir)
 
 
 def _command_train(args: argparse.Namespace) -> int:
-    from repro.jobs.messages import TrainJobSpec
-    from repro.jobs.runner import JobSpecError, execute_train
+    from repro.jobs.runner import execute_train
 
-    spec = TrainJobSpec(
-        system=args.system,
-        output=str(args.output),
-        mixing_epochs=args.mixing_epochs,
-        mixing_steps=args.mixing_steps,
-        distill_epochs=args.distill_epochs,
-        dataset_size=args.dataset_size,
-        eval_samples=args.eval_samples,
-        num_envs=args.num_envs,
-        train_batch_size=args.train_batch_size,
-        eval_batch_size=args.eval_batch_size,
-        seed=args.seed,
-    )
-    store = None
-    if args.run_dir is not None:
-        from repro.experiments import RunStore
-
-        store = RunStore(args.run_dir)
+    spec = _spec_from_args(TrainJobSpec, args)
     try:
-        execute_train(spec, store=store, say=print)
+        execute_train(spec, store=_run_store(args.run_dir), say=print)
     except JobSpecError as error:
         raise SystemExit(str(error))
     return 0
 
 
 def _command_evaluate(args: argparse.Namespace) -> int:
-    from repro.jobs.messages import EvaluateJobSpec
-    from repro.jobs.runner import JobSpecError, execute_evaluate
+    from repro.jobs.runner import execute_evaluate
 
-    spec = EvaluateJobSpec(
-        system=args.system,
-        controller_dir=str(args.controller_dir),
-        controller=args.controller,
-        perturbation=args.perturbation,
-        fraction=args.fraction,
-        samples=args.samples,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
     try:
-        execute_evaluate(spec, say=print)
+        execute_evaluate(_spec_from_args(EvaluateJobSpec, args), say=print)
     except JobSpecError as error:
         raise SystemExit(str(error))
     return 0
 
 
 def _command_verify(args: argparse.Namespace) -> int:
+    from repro.jobs.runner import _load_controller, resolve_budget
     from repro.scenarios import get_scenario
 
     system = make_system(args.system)
-    controller = _load_controller(args.controller_dir, args.controller)
+    try:
+        controller = _load_controller(args.controller_dir, args.controller)
+    except JobSpecError as error:
+        raise SystemExit(str(error))
     hints = get_scenario(args.system).verify_budget
     reach_box = system.initial_set.scale(
-        _resolve_budget(args.reach_box_scale, hints, "reach_box_scale", 0.1)
+        resolve_budget(args.reach_box_scale, hints, "reach_box_scale", 0.1)
     )
     report = verify_controller(
         system,
         controller.network,
         name=args.controller,
-        target_error=_resolve_budget(args.target_error, hints, "target_error", 0.5),
-        degree=_resolve_budget(args.degree, hints, "degree", 3),
-        max_partitions=_resolve_budget(args.max_partitions, hints, "max_partitions", 4096),
+        target_error=resolve_budget(args.target_error, hints, "target_error", 0.5),
+        degree=resolve_budget(args.degree, hints, "degree", 3),
+        max_partitions=resolve_budget(args.max_partitions, hints, "max_partitions", 4096),
         reach_initial_box=reach_box,
-        reach_steps=_resolve_budget(args.reach_steps, hints, "reach_steps", 15),
+        reach_steps=resolve_budget(args.reach_steps, hints, "reach_steps", 15),
         invariant_grid=args.invariant_grid or None,
     )
     for key, value in report.summary().items():
@@ -562,8 +515,7 @@ def _command_verify(args: argparse.Namespace) -> int:
 
 
 def _command_verify_sweep(args: argparse.Namespace) -> int:
-    from repro.jobs.messages import VerifySweepJobSpec
-    from repro.jobs.runner import JobSpecError, execute_verify_sweep
+    from repro.jobs.runner import execute_verify_sweep
 
     specs = list(args.spec or [])
     if args.system is not None or args.controller_dir is not None:
@@ -573,25 +525,9 @@ def _command_verify_sweep(args: argparse.Namespace) -> int:
     if not specs:
         raise SystemExit("verify-sweep needs at least one --spec (or --system/--controller-dir)")
 
-    spec = VerifySweepJobSpec(
-        specs=tuple(specs),
-        target_error=args.target_error,
-        degree=args.degree,
-        max_partitions=args.max_partitions,
-        reach_steps=args.reach_steps,
-        reach_box_scale=args.reach_box_scale,
-        invariant_grid=args.invariant_grid,
-        work_budget=args.work_budget,
-        time_budget=args.time_budget,
-        jobs=args.jobs,
-    )
-    store = None
-    if args.run_dir is not None:
-        from repro.experiments import RunStore
-
-        store = RunStore(args.run_dir)
+    spec = _spec_from_args(VerifySweepJobSpec, args, specs=tuple(specs))
     try:
-        report = execute_verify_sweep(spec, store=store, say=print)
+        report = execute_verify_sweep(spec, store=_run_store(args.run_dir), say=print)
     except JobSpecError as error:
         raise SystemExit(str(error))
     if args.csv is not None:
@@ -628,63 +564,42 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         raise SystemExit("--csv is not available on a single shard (its rows are partial); "
                          "merge the full CSV afterwards with `repro runs merge --csv`")
 
-    matrix_kwargs = dict(
-        scenarios=args.scenario,
-        samples=args.samples,
-        fraction=args.fraction,
-        train=not args.no_train,
-        verify=not args.no_verify,
-        jobs=args.jobs,
-        seed=args.seed,
-        budget_scale=args.budget_scale,
-        run_dir=args.run_dir,
-        force=args.force,
-        telemetry=False if args.no_telemetry else None,
-    )
+    # The plain (unsharded) run routes through the reusable job layer, so
+    # this path and a daemon-submitted matrix job are the same code; the
+    # sharded ones run a slice of the same spec.
+    from repro.jobs.runner import execute_matrix, matrix_arguments
+
+    spec = _spec_from_args(MatrixJobSpec, args)
+    telemetry = False if args.no_telemetry else None
     if args.shard_workers:
         from repro.scenarios import run_sharded_matrix
 
-        matrix_kwargs.pop("run_dir")
         report = run_sharded_matrix(
             args.shard_workers,
             args.run_dir,
             progress=print,
             steal=not args.no_steal,
             claim_lease=args.claim_lease,
-            **matrix_kwargs,
+            force=args.force,
+            telemetry=telemetry,
+            **matrix_arguments(spec),
         )
     elif args.shard is not None:
         report = run_scenario_matrix(
             progress=print,
+            run_dir=args.run_dir,
             shard=args.shard,
             steal=not args.no_steal,
             claim_lease=args.claim_lease,
             shard_time_budget=args.shard_time_budget or None,
-            **matrix_kwargs,
+            force=args.force,
+            telemetry=telemetry,
+            **matrix_arguments(spec),
         )
     else:
-        # The plain (unsharded) run routes through the reusable job layer,
-        # so this path and a daemon-submitted matrix job are the same code.
-        from repro.jobs.messages import MatrixJobSpec
-        from repro.jobs.runner import JobSpecError, execute_matrix
-
-        spec = MatrixJobSpec(
-            scenarios=tuple(args.scenario or ()),
-            samples=args.samples,
-            fraction=args.fraction,
-            train=not args.no_train,
-            verify=not args.no_verify,
-            jobs=args.jobs,
-            seed=args.seed,
-            budget_scale=args.budget_scale,
-        )
         try:
             report = execute_matrix(
-                spec,
-                run_dir=args.run_dir,
-                say=print,
-                force=args.force,
-                telemetry=False if args.no_telemetry else None,
+                spec, run_dir=args.run_dir, say=print, force=args.force, telemetry=telemetry
             )
         except JobSpecError as error:
             raise SystemExit(str(error))
@@ -804,7 +719,7 @@ def _command_runs(args: argparse.Namespace) -> int:
         from repro.scenarios import MatrixIncompleteError, merge_matrix_run
 
         try:
-            report = merge_matrix_run(args.run_dir, jobs=args.jobs, progress=print)
+            report = merge_matrix_run(args.run_dir, progress=print)
         except FileNotFoundError:
             raise SystemExit(
                 f"no matrix manifest in {args.run_dir}: only sharded `scenarios run "
@@ -921,7 +836,6 @@ def _command_submit(args: argparse.Namespace) -> int:
 
     from repro.jobs.client import RemoteError, ServiceUnavailable
     from repro.jobs.messages import TERMINAL_STATES, build_job_spec
-    from repro.utils.messages import MessageValidationError
 
     if (args.kind is None) == (args.spec_json is None):
         raise SystemExit("submit needs either KIND [--set KEY=VALUE ...] or --json SPEC")
@@ -961,7 +875,6 @@ def _command_jobs(args: argparse.Namespace) -> int:
     import json
 
     from repro.jobs.client import RemoteError, ServiceUnavailable
-    from repro.utils.messages import MessageValidationError
 
     client = _service_client(args)
     try:

@@ -5,9 +5,12 @@ strict-round-trip / forward-tolerant dialect as the telemetry event log):
 
 Job specs (:data:`JOB_REGISTRY`)
     One frozen dataclass per job *kind* -- ``train``, ``evaluate``,
-    ``verify-sweep``, ``matrix`` -- mirroring the corresponding CLI verb's
-    flags.  A spec is pure description: no paths are opened and no
-    scenario is built until :mod:`repro.jobs.runner` resolves it.  Spec
+    ``verify-sweep``, ``matrix`` -- that is also the flag declaration of
+    the corresponding CLI verb: :mod:`repro.cli` derives one flag per field
+    (help, ``required``, ``metavar`` and ``choices`` live in the field's
+    metadata; ``cli=False`` keeps a field off the command line).  A spec is
+    pure description: no paths are opened and no scenario is built until
+    :mod:`repro.jobs.runner` resolves it.  Spec
     parsing (:func:`parse_job_spec`) is deliberately *strict in both
     directions*: an unknown kind or a *newer* schema version is an error,
     never a best-effort decode, because silently dropping an unknown spec
@@ -83,6 +86,18 @@ TERMINAL_STATES = ("done", "failed", "cancelled", "cached")
 
 _PERTURBATIONS = ("none", "attack", "noise")
 
+#: Help suffix of the train budgets, which fall back to the scenario's hints.
+_HINT = "(default: the scenario's budget hint)"
+
+#: Metadata of a field that stays off the CLI (submit it with ``--set``).
+_OFF_CLI = {"cli": False}
+
+
+def _flag(default=None, **argparse_options):
+    """A spec field plus its CLI flag's ``help``/``required``/``metavar``/``choices``."""
+
+    return field(default=default, metadata=argparse_options)
+
 
 # ---------------------------------------------------------------------------
 # job specs
@@ -102,25 +117,34 @@ class JobSpec(TypedMessage):
 @_register_job
 @dataclass(frozen=True)
 class TrainJobSpec(JobSpec):
-    """Run the Cocktail pipeline on one scenario (mirrors ``repro train``).
+    """Run the Cocktail pipeline on one scenario (``repro train``).
 
     ``None`` budgets resolve to the scenario's ``train_budget`` hints and
-    then to the CPU-derived defaults, exactly like the CLI flags.
+    then to the defaults of :meth:`CocktailConfig.from_budget_hints`.
     ``output`` is optional here (the daemon persists through the run store);
-    the CLI always sets it.
+    the CLI requires it.
     """
 
     TYPE: ClassVar[str] = "train"
     system: str = "vanderpol"
-    output: str = ""
-    mixing_epochs: Optional[int] = None
-    mixing_steps: Optional[int] = None
-    distill_epochs: Optional[int] = None
-    dataset_size: Optional[int] = None
-    eval_samples: Optional[int] = None
-    num_envs: Optional[int] = None
-    train_batch_size: Optional[int] = None
-    eval_batch_size: int = 0
+    output: str = _flag("", required=True, help="directory for the saved controllers")
+    mixing_epochs: Optional[int] = _flag(help=f"PPO mixing epochs {_HINT}")
+    mixing_steps: Optional[int] = _flag(help=f"PPO steps per epoch {_HINT}")
+    distill_epochs: Optional[int] = _flag(help=f"distillation epochs {_HINT}")
+    dataset_size: Optional[int] = _flag(help=f"distillation dataset size {_HINT}")
+    eval_samples: Optional[int] = _flag(help=f"Monte-Carlo evaluation samples {_HINT}")
+    num_envs: Optional[int] = _flag(
+        help="parallel PPO mixing environments advanced in lockstep "
+        "(default: scenario hint, then a CPU-derived width; 1 = scalar path)"
+    )
+    train_batch_size: Optional[int] = _flag(
+        help="lockstep teacher rollouts / labels per batched query during "
+        "distillation dataset collection (default: scenario hint, then a "
+        "CPU-derived width; 1 = scalar path)"
+    )
+    eval_batch_size: int = _flag(
+        0, help="Monte-Carlo rollouts advanced in lockstep (0 = whole sample as one batch)"
+    )
     seed: int = 0
 
     def _validate(self) -> None:
@@ -131,16 +155,20 @@ class TrainJobSpec(JobSpec):
 @_register_job
 @dataclass(frozen=True)
 class EvaluateJobSpec(JobSpec):
-    """Evaluate a saved controller (mirrors ``repro evaluate``)."""
+    """Evaluate a saved controller (``repro evaluate``)."""
 
     TYPE: ClassVar[str] = "evaluate"
     system: str = "vanderpol"
-    controller_dir: str = ""
-    controller: str = "kappa_star"
-    perturbation: str = "none"
+    controller_dir: str = _flag("", required=True)
+    controller: str = _flag(
+        "kappa_star", help="any controller saved in --controller-dir (default kappa_star)"
+    )
+    perturbation: str = _flag("none", choices=_PERTURBATIONS)
     fraction: float = 0.1
     samples: int = 200
-    batch_size: int = 0
+    batch_size: int = _flag(
+        0, help="Monte-Carlo rollouts advanced in lockstep (0 = whole sample as one batch)"
+    )
     seed: int = 0
 
     def _validate(self) -> None:
@@ -153,6 +181,8 @@ class EvaluateJobSpec(JobSpec):
                 f"EvaluateJobSpec.perturbation must be one of {_PERTURBATIONS}, "
                 f"got {self.perturbation!r}"
             )
+        if self.fraction < 0:
+            raise MessageValidationError("EvaluateJobSpec.fraction must be >= 0")
         if self.samples <= 0:
             raise MessageValidationError("EvaluateJobSpec.samples must be > 0")
 
@@ -160,7 +190,7 @@ class EvaluateJobSpec(JobSpec):
 @_register_job
 @dataclass(frozen=True)
 class VerifySweepJobSpec(JobSpec):
-    """Verify many saved controllers (mirrors ``repro verify-sweep``).
+    """Verify many saved controllers (``repro verify-sweep``).
 
     ``specs`` entries use the CLI's ``SYSTEM:DIR[:CONTROLLER]`` syntax;
     zero-valued budgets mean "unbounded", as on the command line.  Version
@@ -169,16 +199,30 @@ class VerifySweepJobSpec(JobSpec):
 
     TYPE: ClassVar[str] = "verify-sweep"
     SCHEMA_VERSION: ClassVar[int] = 2
-    specs: Tuple[str, ...] = ()
+    specs: Tuple[str, ...] = _flag(
+        (),
+        metavar="SYSTEM:DIR[:CONTROLLER]",
+        help="one verification job source; repeatable; omitting CONTROLLER expands to every "
+        "controller recorded in DIR (kappa_star and, when present, kappaD)",
+    )
     target_error: float = 0.5
     degree: int = 3
     max_partitions: int = 2048
-    reach_steps: int = 15
-    reach_box_scale: float = 0.1
-    invariant_grid: int = 0
-    work_budget: int = 0
-    time_budget: float = 0.0
-    jobs: int = 0
+    reach_steps: int = _flag(15, help="reachability horizon per job")
+    reach_box_scale: float = _flag(0.1, help="initial reach box as a fraction of X0")
+    invariant_grid: int = _flag(0, help="0 disables the invariant-set analysis")
+    work_budget: int = _flag(
+        0,
+        help="per-job reachability work budget in Bernstein coefficients (0 = unbounded); "
+        "exceeding it aborts with status 'resource-exhausted'",
+    )
+    time_budget: float = _flag(
+        0.0,
+        help="per-job wall-clock budget in seconds, checked at phase boundaries (0 = unbounded)",
+    )
+    jobs: int = _flag(
+        0, help="worker processes for the sweep pool (0 = one per job, capped at the CPU count)"
+    )
 
     def _validate(self) -> None:
         if not self.specs:
@@ -190,7 +234,7 @@ class VerifySweepJobSpec(JobSpec):
 @_register_job
 @dataclass(frozen=True)
 class MatrixJobSpec(JobSpec):
-    """Run the scenario matrix (mirrors ``repro scenarios run``).
+    """Run the scenario matrix (``repro scenarios run``).
 
     An empty ``scenarios`` tuple means the whole catalog.  Shard fields are
     deliberately absent: sharding is a run-topology concern, not part of a
@@ -200,23 +244,37 @@ class MatrixJobSpec(JobSpec):
 
     TYPE: ClassVar[str] = "matrix"
     SCHEMA_VERSION: ClassVar[int] = 2
-    scenarios: Tuple[str, ...] = ()
-    perturbations: Tuple[str, ...] = _PERTURBATIONS
-    samples: int = 32
-    fraction: float = 0.1
-    train: bool = True
-    verify: bool = True
-    jobs: int = 0
+    scenarios: Tuple[str, ...] = _flag(
+        (),
+        metavar="SCENARIO",
+        help="restrict the matrix to this scenario (repeatable; default: the whole catalog)",
+    )
+    perturbations: Tuple[str, ...] = field(default=_PERTURBATIONS, metadata=_OFF_CLI)
+    samples: int = _flag(32, help="Monte-Carlo rollouts per evaluation cell")
+    fraction: float = _flag(0.1, help="attack/noise magnitude fraction")
+    # A True-default boolean is a --no-<name> switch; its help describes the switch.
+    train: bool = _flag(True, help="skip training kappa_star (evaluates the analytic experts only)")
+    verify: bool = _flag(True, help="skip the verification cells")
+    jobs: int = _flag(
+        0, help="verification worker processes (0 = one per scenario, capped at the CPU count)"
+    )
     seed: int = 0
-    budget_scale: float = 1.0
-    train_overrides: Dict = field(default_factory=dict)
-    verify_overrides: Dict = field(default_factory=dict)
+    budget_scale: float = _flag(1.0, help="uniformly scale each scenario's training budget hints")
+    train_overrides: Dict = field(default_factory=dict, metadata=_OFF_CLI)
+    verify_overrides: Dict = field(default_factory=dict, metadata=_OFF_CLI)
 
     def _validate(self) -> None:
         if self.samples <= 0:
             raise MessageValidationError("MatrixJobSpec.samples must be > 0")
+        if self.fraction < 0:
+            raise MessageValidationError("MatrixJobSpec.fraction must be >= 0")
         if not self.perturbations:
             raise MessageValidationError("MatrixJobSpec.perturbations must be non-empty")
+        unknown = [name for name in self.perturbations if name not in _PERTURBATIONS]
+        if unknown:
+            raise MessageValidationError(
+                f"MatrixJobSpec.perturbations must be drawn from {_PERTURBATIONS}, got {unknown}"
+            )
 
 
 #: Kinds whose v1 specs carried an ``engine`` field ("batched" or "scalar").

@@ -34,6 +34,7 @@ The lifecycle has four separable steps:
 from __future__ import annotations
 
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -55,6 +56,7 @@ __all__ = [
     "expand_sweep_specs",
     "execute_verify_sweep",
     "sweep_payload",
+    "matrix_arguments",
     "execute_matrix",
     "matrix_payload",
     "execute_job",
@@ -112,35 +114,18 @@ def _load_controller(directory, name: str):
 def _resolve_train(spec: TrainJobSpec):
     """(scenario, overrides, CocktailConfig, resolved identity dict)."""
 
-    from repro import CocktailConfig, DistillationConfig, EvaluationConfig, MixingConfig
-    from repro.utils.parallel import default_num_envs, default_train_batch_size
+    from repro import CocktailConfig
 
     scenario, overrides = _resolve_scenario(spec.system)
-    hints = scenario.train_budget
-    config = CocktailConfig(
-        mixing=MixingConfig(
-            epochs=resolve_budget(spec.mixing_epochs, hints, "mixing_epochs", 10),
-            steps_per_epoch=resolve_budget(spec.mixing_steps, hints, "mixing_steps", 1024),
-            num_envs=resolve_budget(spec.num_envs, hints, "num_envs", default_num_envs()),
-            seed=spec.seed,
-        ),
-        distillation=DistillationConfig(
-            epochs=resolve_budget(spec.distill_epochs, hints, "distill_epochs", 100),
-            dataset_size=resolve_budget(spec.dataset_size, hints, "dataset_size", 2500),
-            hidden_sizes=(32, 32),
-            l2_weight=5e-3,
-            trajectory_fraction=float(hints.get("trajectory_fraction", 0.6)),
-            train_batch_size=resolve_budget(
-                spec.train_batch_size, hints, "train_batch_size", default_train_batch_size()
-            ),
-            seed=spec.seed,
-        ),
-        evaluation=EvaluationConfig(
-            samples=resolve_budget(spec.eval_samples, hints, "eval_samples", 150),
-            batch_size=spec.eval_batch_size or None,
-        ),
-        seed=spec.seed,
-    )
+    # The optional fields are the budgets, named like the scenario's hint
+    # keys; explicitly set ones win over the hints.
+    budgets = {
+        spec_field.name: getattr(spec, spec_field.name)
+        for spec_field in fields(spec)
+        if spec_field.default is None and getattr(spec, spec_field.name) is not None
+    }
+    config = CocktailConfig.from_budget_hints({**scenario.train_budget, **budgets}, seed=spec.seed)
+    config.evaluation = replace(config.evaluation, batch_size=spec.eval_batch_size or None)
     params = dict(scenario.default_params)
     params.update(overrides)
     # direct_baseline distinguishes this entry (kappa_star + kappa_d +
@@ -439,6 +424,18 @@ def sweep_payload(spec: VerifySweepJobSpec, report) -> Tuple[Dict, bool]:
 # ---------------------------------------------------------------------------
 
 
+def matrix_arguments(spec: MatrixJobSpec) -> Dict:
+    """The spec as :func:`repro.scenarios.run_scenario_matrix` keyword arguments.
+
+    The spec's fields are that function's parameters one for one; an empty
+    ``scenarios`` tuple means the whole catalog.
+    """
+
+    arguments = {spec_field.name: getattr(spec, spec_field.name) for spec_field in fields(spec)}
+    arguments["scenarios"] = list(spec.scenarios) or None
+    return arguments
+
+
 def _resolve_matrix(spec: MatrixJobSpec) -> Dict:
     from repro.scenarios import list_scenarios
     from repro.scenarios.matrix import matrix_manifest
@@ -446,18 +443,7 @@ def _resolve_matrix(spec: MatrixJobSpec) -> Dict:
     names = list(spec.scenarios) if spec.scenarios else list_scenarios()
     for name in names:
         _resolve_scenario(name)
-    return matrix_manifest(
-        scenarios=names,
-        perturbations=list(spec.perturbations),
-        samples=spec.samples,
-        fraction=spec.fraction,
-        train=spec.train,
-        verify=spec.verify,
-        seed=spec.seed,
-        budget_scale=spec.budget_scale,
-        train_overrides=spec.train_overrides or None,
-        verify_overrides=spec.verify_overrides or None,
-    )
+    return matrix_manifest(**{**matrix_arguments(spec), "scenarios": names})
 
 
 def execute_matrix(
@@ -481,17 +467,7 @@ def execute_matrix(
     for name in spec.scenarios:
         _resolve_scenario(name)
     return run_scenario_matrix(
-        scenarios=list(spec.scenarios) or None,
-        perturbations=list(spec.perturbations),
-        samples=spec.samples,
-        fraction=spec.fraction,
-        train=spec.train,
-        verify=spec.verify,
-        jobs=spec.jobs,
-        seed=spec.seed,
-        budget_scale=spec.budget_scale,
-        train_overrides=spec.train_overrides or None,
-        verify_overrides=spec.verify_overrides or None,
+        **matrix_arguments(spec),
         progress=say if say is not _SILENT else None,
         store=store,
         run_dir=run_dir,

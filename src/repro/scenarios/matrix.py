@@ -374,12 +374,17 @@ class _ScenarioContext:
 
 
 class _MatrixExecution:
-    """One ``run_scenario_matrix`` invocation (kept in a class for state)."""
+    """One ``run_scenario_matrix`` invocation (kept in a class for state).
 
-    def __init__(self, **kwargs):
-        self.__dict__.update(kwargs)
+    The manifest's entries (``scenarios``, ``samples``, ``seed``, ...) and
+    the run context both become attributes.
+    """
+
+    def __init__(self, manifest: Mapping, **context):
+        self.__dict__.update(manifest)
+        self.__dict__.update(context)
         self.report = ScenarioMatrixReport(
-            scenarios=list(self.names), shard=str(self.shard) if self.shard else None
+            scenarios=list(self.scenarios), shard=str(self.shard) if self.shard else None
         )
         self.missing: List[str] = []
         self.start = time.perf_counter()
@@ -396,7 +401,7 @@ class _MatrixExecution:
 
     def _contexts(self) -> List[_ScenarioContext]:
         contexts = []
-        for name in self.names:
+        for name in self.scenarios:
             spec, overrides = resolve_scenario(name)
             params = dict(spec.default_params)
             params.update(overrides)
@@ -828,7 +833,7 @@ class _MatrixExecution:
         ]
         self.tele.emit(
             RunStarted,
-            scenarios=tuple(self.names),
+            scenarios=tuple(self.scenarios),
             cells_total=len(cells),
             cells_owned=len(owned),
             pid=os.getpid(),
@@ -1074,9 +1079,11 @@ def run_scenario_matrix(
     own stream.
     """
 
+    arguments = dict(locals())  # the parameters alone: no other local is bound yet
     names = list(scenarios) if scenarios is not None else list_scenarios()
     if not names:
         raise ValueError("no scenarios to run; the catalog (or the requested list) is empty")
+    manifest = matrix_manifest(**{**arguments, "scenarios": names})
     if isinstance(shard, str):
         shard = ShardSpec.parse(shard)
     if store is None and run_dir is not None:
@@ -1103,21 +1110,7 @@ def run_scenario_matrix(
 
         lease = DEFAULT_CLAIM_LEASE if claim_lease is None else float(claim_lease)
         claims = store.claims(owner=f"shard-{shard}", lease_seconds=lease)
-        write_matrix_manifest(
-            store.root,
-            matrix_manifest(
-                scenarios=names,
-                perturbations=perturbations,
-                samples=samples,
-                fraction=fraction,
-                train=train,
-                verify=verify,
-                seed=seed,
-                budget_scale=budget_scale,
-                train_overrides=train_overrides,
-                verify_overrides=verify_overrides,
-            ),
-        )
+        write_matrix_manifest(store.root, manifest)
 
     if telemetry:
         # telemetry_source lets a host running many matrices against one run
@@ -1131,17 +1124,8 @@ def run_scenario_matrix(
         tele = NullTelemetryEmitter()
 
     execution = _MatrixExecution(
-        names=names,
-        perturbations=perturbations,
-        samples=samples,
-        fraction=fraction,
-        train=train,
-        verify=verify,
+        manifest,
         jobs=jobs,
-        seed=seed,
-        budget_scale=budget_scale,
-        train_overrides=train_overrides,
-        verify_overrides=verify_overrides,
         say=progress if progress is not None else (lambda message: None),
         emit=on_cell if on_cell is not None else (lambda row: None),
         store=store,
@@ -1160,41 +1144,41 @@ def run_scenario_matrix(
         tele.close()
 
 
-def matrix_manifest(
-    scenarios: Sequence[str],
-    perturbations: Sequence[str],
-    samples: int,
-    fraction: float,
-    train: bool,
-    verify: bool,
-    seed: int,
-    budget_scale: float,
-    train_overrides: Optional[Mapping[str, object]],
-    verify_overrides: Optional[Mapping[str, object]],
-) -> Dict:
-    """The identity a sharded run records so the merge can replay it."""
+#: :func:`run_scenario_matrix` parameters that say how or where a matrix
+#: runs, not what it computes; every other parameter is matrix identity.
+_RUN_CONTEXT = frozenset({
+    "jobs", "progress", "store", "run_dir", "resume", "force", "on_cell", "shard", "steal",
+    "claim_lease", "shard_time_budget", "offline", "telemetry", "telemetry_source",
+})
 
-    return {
-        "scenarios": list(scenarios),
-        "perturbations": list(perturbations),
-        "samples": samples,
-        "fraction": fraction,
-        "train": train,
-        "verify": verify,
-        "seed": seed,
-        "budget_scale": budget_scale,
-        "train_overrides": dict(train_overrides or {}),
-        "verify_overrides": dict(verify_overrides or {}),
-        # Verification has one engine; the fixed entry keeps manifests (and
-        # the matrix job digests taken over them) written while an "engine"
-        # option existed resolvable.
-        "engine": "batched",
-    }
+
+def matrix_manifest(**arguments) -> Dict:
+    """The identity a sharded run records so the merge can replay it.
+
+    ``arguments`` are :func:`run_scenario_matrix` keyword arguments with the
+    scenario names resolved.  The run context is dropped, sequences become
+    lists and an omitted (``None``) override mapping an empty one, so the
+    manifest is plain JSON that replays as ``run_scenario_matrix`` keywords.
+    """
+
+    manifest = {}
+    for name, value in arguments.items():
+        if name in _RUN_CONTEXT:
+            continue
+        if value is None or isinstance(value, Mapping):
+            value = dict(value or {})
+        elif isinstance(value, (list, tuple)):
+            value = list(value)
+        manifest[name] = value
+    # Verification has one engine; the fixed entry keeps manifests (and the
+    # matrix job digests taken over them) written while an "engine" option
+    # existed resolvable.
+    manifest["engine"] = "batched"
+    return manifest
 
 
 def merge_matrix_run(
     run_dir: Union[str, Path],
-    jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ScenarioMatrixReport:
     """Reassemble a sharded run into the canonical single-process report.
@@ -1208,22 +1192,8 @@ def merge_matrix_run(
     """
 
     manifest = read_matrix_manifest(run_dir)
-    return run_scenario_matrix(
-        scenarios=manifest["scenarios"],
-        perturbations=tuple(manifest["perturbations"]),
-        samples=manifest["samples"],
-        fraction=manifest["fraction"],
-        train=manifest["train"],
-        verify=manifest["verify"],
-        jobs=jobs,
-        seed=manifest["seed"],
-        budget_scale=manifest["budget_scale"],
-        train_overrides=manifest["train_overrides"] or None,
-        verify_overrides=manifest["verify_overrides"] or None,
-        progress=progress,
-        run_dir=run_dir,
-        offline=True,
-    )
+    manifest.pop("engine", None)
+    return run_scenario_matrix(**manifest, progress=progress, run_dir=run_dir, offline=True)
 
 
 def _shard_worker(index: int, count: int, run_dir: str, matrix_kwargs: Dict) -> None:
@@ -1272,4 +1242,4 @@ def run_sharded_matrix(
         report = ScenarioMatrixReport(scenarios=list(matrix_kwargs.get("scenarios") or []))
         report.status = "ok" if not failed else "error"
         return report
-    return merge_matrix_run(run_dir, jobs=int(matrix_kwargs.get("jobs") or 1), progress=progress)
+    return merge_matrix_run(run_dir, progress=progress)

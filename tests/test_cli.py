@@ -34,7 +34,7 @@ class TestParser:
         assert args.mixing_epochs is None
 
     def test_budget_resolution_prefers_explicit_then_hint(self):
-        from repro.cli import _resolve_budget
+        from repro.jobs.runner import resolve_budget as _resolve_budget
 
         hints = {"mixing_epochs": 3}
         assert _resolve_budget(7, hints, "mixing_epochs", 10) == 7
