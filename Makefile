@@ -16,17 +16,16 @@
 # `scenario-smoke` runs the fast train->evaluate->verify cell for every
 # registered scenario (also collected by `test` via the scenario_smoke
 # pytest marker); `bench` regenerates the paper's tables/figures at the
-# quick scale; `bench-json` runs the `repro bench` perf-regression
-# harness and writes the machine-readable BENCH_<date>.json report
-# (see docs/performance.md); `train-bench` re-times the scalar-vs-vectorized
-# training stages and refreshes the committed CSV; `lint` is a fast syntax gate
-# over src, tests, benchmarks, examples, cellbench and tools (no third-party
-# linter is vendored into the image).
+# quick scale (see docs/performance.md for where the perf gates live);
+# `train-bench` re-times the scalar-vs-vectorized training stages and
+# refreshes the committed CSV; `lint` is a fast syntax gate over src,
+# tests, benchmarks, examples, cellbench and tools (no third-party linter
+# is vendored into the image).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench bench-json train-bench lint
+.PHONY: test test-fast test-cov shard-smoke watch-smoke serve-smoke scenario-smoke bench train-bench lint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,8 +41,6 @@ test-cov:
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/jobs \
 		tests/test_jobs_messages.py tests/test_jobs_runner.py \
 		tests/test_service_dedupe.py tests/test_service_faults.py
-	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/perf \
-		tests/test_bench_smoke.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/dtypes.py \
 		tests/test_float32_mode.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
@@ -89,10 +86,6 @@ scenario-smoke:
 
 bench:
 	REPRO_SCALE=$${REPRO_SCALE:-quick} $(PYTHON) -m pytest -q benchmarks
-
-BENCH_JSON_DIR ?= runs/bench
-bench-json:
-	$(PYTHON) -m repro bench --output $(BENCH_JSON_DIR) --json
 
 train-bench:
 	REPRO_RECORD=1 $(PYTHON) -m pytest -q -s benchmarks/test_training_speed.py

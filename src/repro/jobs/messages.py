@@ -43,6 +43,7 @@ from repro.utils.messages import (
     parse_message,
     register_message,
 )
+from repro.verification.verifier import check_verify_budgets
 
 __all__ = [
     "JOB_REGISTRY",
@@ -228,6 +229,20 @@ class VerifySweepJobSpec(JobSpec):
         if not self.specs:
             raise MessageValidationError(
                 "VerifySweepJobSpec.specs must name at least one SYSTEM:DIR[:CONTROLLER] entry"
+            )
+        try:
+            check_verify_budgets(
+                self.degree,
+                self.max_partitions,
+                self.target_error,
+                self.reach_steps,
+                self.invariant_grid or None,
+            )
+        except ValueError as error:
+            raise MessageValidationError(f"VerifySweepJobSpec.{error}")
+        if self.reach_box_scale < 0:
+            raise MessageValidationError(
+                f"VerifySweepJobSpec.reach_box_scale must be >= 0, got {self.reach_box_scale}"
             )
 
 

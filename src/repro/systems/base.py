@@ -25,9 +25,13 @@ from repro.utils.seeding import RngLike, get_rng
 class ControlSystem:
     """Base class for the paper's discrete-time plants.
 
-    Sub-classes implement :meth:`dynamics` -- the deterministic part of the
-    state update given the applied (already clipped) control and the sampled
-    external disturbance -- and define the sets/box bounds in ``__init__``.
+    Sub-classes implement :meth:`dynamics_batch` -- the deterministic part of
+    the state update given the applied (already clipped) controls and the
+    sampled external disturbances, as NumPy array expressions over a batch
+    -- and define the sets/box bounds in ``__init__``.  :meth:`dynamics` is
+    its batch-of-one, so the scalar and batched updates cannot drift apart.
+    A plant that only writes a scalar :meth:`dynamics` still works: the
+    base :meth:`dynamics_batch` loops over rows.
 
     Attributes
     ----------
@@ -83,21 +87,29 @@ class ControlSystem:
     # Interface to implement
     # ------------------------------------------------------------------
     def dynamics(self, state: np.ndarray, control: np.ndarray, disturbance: np.ndarray) -> np.ndarray:
-        """One-step deterministic state update (control already clipped)."""
+        """One-step deterministic state update (control already clipped).
 
-        raise NotImplementedError
+        The batch-of-one of :meth:`dynamics_batch`, the same way
+        :func:`~repro.systems.simulation.rollout` wraps ``rollout_batch``.
+        """
+
+        if type(self).dynamics_batch is ControlSystem.dynamics_batch:
+            raise NotImplementedError(
+                f"{type(self).__name__} must implement dynamics_batch (or dynamics)"
+            )
+        return self.dynamics_batch(state, control, disturbance)[0]
 
     def dynamics_batch(
         self, states: np.ndarray, controls: np.ndarray, disturbances: np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`dynamics` over ``(N, state_dim)`` batches.
+        """Vectorised state update over ``(N, state_dim)`` batches.
 
         Inputs are ``states (N, state_dim)``, ``controls (N, control_dim)``
         (already clipped) and ``disturbances (N, omega_dim)``; the result has
-        shape ``(N, state_dim)`` and row ``i`` must equal
-        ``dynamics(states[i], controls[i], disturbances[i])``.  The default
-        loops over rows; the concrete test systems override it with NumPy
-        array expressions so the batched rollout engine runs at array speed.
+        shape ``(N, state_dim)``.  The registered plants override it with
+        NumPy array expressions so the batched rollout engine runs at array
+        speed; this default loops a plant's own scalar :meth:`dynamics` over
+        the rows.
         """
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))

@@ -44,7 +44,7 @@ from repro.verification.partition import PartitionedApproximation, partition_net
 from repro.verification.system_models import interval_dynamics, interval_dynamics_batch
 from repro.verification.reachability import ReachabilityResult, reachable_sets, verify_reach_safety
 from repro.verification.invariant import InvariantSetResult, compute_invariant_set
-from repro.verification.verifier import VerificationReport, verify_controller
+from repro.verification.verifier import VerificationReport, check_verify_budgets, verify_controller
 from repro.verification.sweep import (
     SweepJob,
     SweepJobResult,
@@ -78,6 +78,7 @@ __all__ = [
     "compute_invariant_set",
     "VerificationReport",
     "verify_controller",
+    "check_verify_budgets",
     "SweepJob",
     "SweepJobResult",
     "SweepReport",

@@ -78,6 +78,31 @@ class VerificationReport:
         return summary
 
 
+def check_verify_budgets(
+    degree: int,
+    max_partitions: int,
+    target_error: float,
+    reach_steps: int,
+    invariant_grid: Optional[int] = None,
+) -> None:
+    """Reject out-of-range verification budgets before any work starts.
+
+    ``invariant_grid`` is ``None`` when the invariant-set analysis is off.
+    Raises ``ValueError`` naming the first offending budget.
+    """
+
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if max_partitions < 1:
+        raise ValueError(f"max_partitions must be >= 1, got {max_partitions}")
+    if not target_error > 0:
+        raise ValueError(f"target_error must be > 0, got {target_error}")
+    if reach_steps < 1:
+        raise ValueError(f"reach_steps must be >= 1, got {reach_steps}")
+    if invariant_grid is not None and invariant_grid < 2:
+        raise ValueError(f"invariant_grid must be >= 2 (or disabled), got {invariant_grid}")
+
+
 def verify_controller(
     system: ControlSystem,
     network: MLP,
@@ -107,10 +132,12 @@ def verify_controller(
     is pinned to float64 (the soundness story rests on bit-identical
     kernels and committed golden enclosures), so anything other than
     float64 -- e.g. the training stack's float32 mode leaking in -- raises
-    ``ValueError`` before any analysis runs.
+    ``ValueError`` before any analysis runs, as do out-of-range budgets
+    (:func:`check_verify_budgets`).
     """
 
     require_float64(dtype, "verify_controller")
+    check_verify_budgets(degree, max_partitions, target_error, reach_steps, invariant_grid)
     start = time.perf_counter()
     deadline = start + float(time_budget_seconds) if time_budget_seconds is not None else None
     lipschitz_constant = network_lipschitz(network)

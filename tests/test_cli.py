@@ -83,6 +83,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([*verb, "--engine", "batched"])
 
+    def test_bench_verb_and_perf_package_are_gone(self):
+        # The ratio floors live in benchmarks/test_{rollout,training}_speed.py
+        # and end-to-end seconds in cellbench; there is no second harness.
+        import importlib
+
+        assert _exit_code(["bench"]) == 2
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(".perf", package="repro")
+
     def test_verify_sweep_requires_a_source(self):
         with pytest.raises(SystemExit):
             main(["verify-sweep"])

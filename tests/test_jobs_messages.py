@@ -93,12 +93,13 @@ SPEC_STRATEGIES = {
     VerifySweepJobSpec: st.builds(
         VerifySweepJobSpec,
         specs=st.lists(_name, min_size=1, max_size=3).map(tuple),
-        target_error=_fraction,
+        # The spec refuses target_error <= 0 and an invariant grid of 1.
+        target_error=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
         degree=_positive,
         max_partitions=_positive,
         reach_steps=_positive,
         reach_box_scale=_fraction,
-        invariant_grid=_count,
+        invariant_grid=st.just(0) | st.integers(min_value=2, max_value=10**9),
         work_budget=_count,
         time_budget=_unix,
         jobs=_count,
