@@ -8,7 +8,8 @@
 # the distributed-coordination code too, and enforces the same floor on
 # src/repro/telemetry and src/repro/jobs via their test packs;
 # `shard-smoke` runs a real 2-shard matrix against one run directory and
-# merges it back end-to-end; `watch-smoke` runs two telemetry-emitting
+# merges it back end-to-end, then does the same for a trained, verified
+# pendulum so the train and verify claim paths go through a sharded merge; `watch-smoke` runs two telemetry-emitting
 # shards, then exercises `runs watch --once` and `runs stats` against the
 # shared event log; `serve-smoke` starts the job daemon, submits a matrix
 # over HTTP with `repro submit --wait`, lists the jobs, watches the run,
@@ -41,19 +42,23 @@ test-cov:
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/jobs \
 		tests/test_jobs_messages.py tests/test_jobs_runner.py \
 		tests/test_service_dedupe.py tests/test_service_faults.py
-	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/dtypes.py \
-		tests/test_float32_mode.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
 		tests/test_utils_profiling.py
 
 SHARD_SMOKE_DIR ?= runs/shard-smoke
 shard-smoke:
-	rm -rf $(SHARD_SMOKE_DIR)
+	rm -rf $(SHARD_SMOKE_DIR) $(SHARD_SMOKE_DIR)-trained
 	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
 		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR) --shard 1/2
 	$(PYTHON) -m repro scenarios run --scenario pendulum --scenario cartpole \
 		--no-train --no-verify --samples 4 --run-dir $(SHARD_SMOKE_DIR) --shard 2/2
 	$(PYTHON) -m repro runs merge --run-dir $(SHARD_SMOKE_DIR) --csv $(SHARD_SMOKE_DIR)/matrix.csv
+	$(PYTHON) -m repro scenarios run --scenario pendulum --budget-scale 0.05 \
+		--samples 4 --run-dir $(SHARD_SMOKE_DIR)-trained --shard 1/2
+	$(PYTHON) -m repro scenarios run --scenario pendulum --budget-scale 0.05 \
+		--samples 4 --run-dir $(SHARD_SMOKE_DIR)-trained --shard 2/2
+	$(PYTHON) -m repro runs merge --run-dir $(SHARD_SMOKE_DIR)-trained \
+		--csv $(SHARD_SMOKE_DIR)-trained/matrix.csv
 
 WATCH_SMOKE_DIR ?= runs/watch-smoke
 watch-smoke:

@@ -10,7 +10,7 @@ regularisation weight ``lambda``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.rl.ppo import PPOConfig
 
@@ -18,6 +18,10 @@ from repro.rl.ppo import PPOConfig
 @dataclass
 class MixingConfig:
     """Hyper-parameters of the RL-based adaptive mixing step (Section III-A)."""
+
+    #: Training runs in float64 only; digests keep the fixed entry so the
+    #: keys of runs stored while a ``dtype`` option existed stay valid.
+    CANONICAL_CONSTANTS: ClassVar[Dict[str, object]] = {"dtype": "float64"}
 
     #: Per-expert weight bound AB_i (weights live in [-AB_i, AB_i], AB_i >= 1).
     weight_bound: float = 1.5
@@ -46,23 +50,16 @@ class MixingConfig:
     #: mixed controller competitive even with small RL budgets); pass a
     #: vector to start elsewhere, or ``0.0`` to disable the warm start.
     initial_weights: Optional[object] = None
-    #: Training precision for the PPO rollout buffer and GAE ("float64" or
-    #: "float32").  float32 is an opt-in training-only mode; verification is
-    #: always float64 (see :mod:`repro.utils.dtypes`).
-    dtype: str = "float64"
     seed: Optional[int] = None
     verbose: bool = False
 
     def __post_init__(self) -> None:
-        from repro.utils.dtypes import resolve_training_dtype
-
         if self.weight_bound < 1.0:
             raise ValueError("the paper requires AB_i >= 1 so a single expert is representable")
         if self.algorithm not in ("ppo", "ddpg"):
             raise ValueError("algorithm must be 'ppo' or 'ddpg'")
         if self.num_envs <= 0:
             raise ValueError("num_envs must be positive")
-        resolve_training_dtype(self.dtype)
 
     def ppo_config(self) -> PPOConfig:
         return PPOConfig(
@@ -74,7 +71,6 @@ class MixingConfig:
             value_lr=self.value_lr,
             objective=self.objective,
             hidden_sizes=self.hidden_sizes,
-            dtype=self.dtype,
             seed=self.seed,
             verbose=self.verbose,
         )

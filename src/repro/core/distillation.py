@@ -27,7 +27,6 @@ import numpy as np
 from repro.autodiff import Tensor, functional
 from repro.core.config import DistillationConfig
 from repro.experts.base import Controller, NeuralController
-from repro.nn.lipschitz import network_lipschitz
 from repro.nn.network import MLP
 from repro.nn.optim import Adam
 from repro.systems.base import ControlSystem
@@ -176,10 +175,7 @@ class _BaseDistiller:
                 loss.backward()
                 optimizer.step()
                 epoch_losses.append(float(loss.data))
-            self.logger.log(
-                loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                lipschitz=network_lipschitz(student),
-            )
+            self.logger.log(loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0)
         self.student = student
         return NeuralController(student, name=self.controller_name())
 

@@ -18,7 +18,7 @@ from repro.experiments.digest import (
     config_digest,
     weights_digest,
 )
-from repro.experiments.store import DEFAULT_CLAIM_LEASE, ClaimBoard, RunKey, RunStore
+from repro.experiments.store import DEFAULT_CLAIM_LEASE, CellOutcome, ClaimBoard, RunKey, RunStore
 
 __all__ = [
     "canonicalize",
@@ -28,5 +28,6 @@ __all__ = [
     "RunKey",
     "RunStore",
     "ClaimBoard",
+    "CellOutcome",
     "DEFAULT_CLAIM_LEASE",
 ]

@@ -21,8 +21,10 @@ Canonicalisation rules (:func:`canonicalize`):
   afterwards;
 * floats are serialised by ``repr`` (shortest round-trip), so ``1.50`` and
   ``1.5`` -- the same float -- always produce the same digest;
-* dataclasses are digested as their field dictionaries, sets as sorted
-  lists, paths as strings.
+* dataclasses are digested as their field dictionaries plus any fixed
+  ``CANONICAL_CONSTANTS`` entries the class declares (entries of retired
+  options, kept so old digests still resolve), sets as sorted lists, paths
+  as strings.
 
 Anything else raises ``TypeError`` rather than silently digesting an
 unstable ``repr``.
@@ -60,7 +62,9 @@ def canonicalize(value):
     if isinstance(value, np.generic):
         return canonicalize(value.item())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return canonicalize(dataclasses.asdict(value))
+        fields = {item.name: getattr(value, item.name) for item in dataclasses.fields(value)}
+        fields.update(getattr(value, "CANONICAL_CONSTANTS", {}))
+        return canonicalize(fields)
     if isinstance(value, Mapping):
         return {str(key): canonicalize(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -13,7 +13,7 @@ configuration::
 ``stage`` names the kind of work (``train``, ``evaluate``, ``verify``,
 ...), and the digest covers everything that determines the stage's output
 -- scenario parameters, :class:`~repro.core.config.CocktailConfig`, seeds,
-engine and vectorization widths -- so :meth:`RunStore.get_or_run` can
+engine and vectorization widths -- so :meth:`RunStore.run_cells` can
 answer an unchanged request from disk instead of recomputing it.
 
 Entries are written atomically: artefacts land in a temporary sibling
@@ -50,6 +50,9 @@ _CLAIM_SUFFIX = ".claim"
 #: Default seconds before a claim with no heartbeat counts as abandoned.
 DEFAULT_CLAIM_LEASE = 60.0
 
+#: Poll period while waiting for another worker's claim to clear.
+_CLAIM_POLL_SECONDS = 0.05
+
 
 @dataclass(frozen=True)
 class RunKey:
@@ -62,6 +65,23 @@ class RunKey:
     def __post_init__(self) -> None:
         if not self.stage or "/" in self.stage or self.stage.startswith("."):
             raise ValueError(f"bad stage name {self.stage!r}")
+
+
+@dataclass(frozen=True)
+class CellOutcome:
+    """What :meth:`RunStore.run_cells` did with one key.
+
+    ``status`` is ``"cached"`` (restored from the store), ``"computed"``,
+    ``"skipped"`` (another live worker holds the claim) or ``"missing"``
+    (offline, and the store lacks the entry).  ``payload`` is the stored
+    result, or the fresh one when it was not cacheable; skipped and missing
+    keys have none.  ``stale_takeover`` marks a claim won from a dead worker.
+    """
+
+    key: RunKey
+    status: str
+    payload: Optional[Dict] = None
+    stale_takeover: bool = False
 
 
 class ClaimBoard:
@@ -216,10 +236,10 @@ class ClaimBoard:
 class RunStore:
     """Content-addressed store of completed pipeline stages under ``root``.
 
-    ``hits`` / ``misses`` count how many :meth:`get_or_run` requests were
-    served from disk versus executed during this store object's lifetime
-    (the resumability tests assert a fully warmed store answers every cell
-    from cache).
+    ``hits`` / ``misses`` count how many :meth:`run_cells` keys were served
+    from disk versus executed during this store object's lifetime (the
+    resumability tests assert a fully warmed store answers every cell from
+    cache).
     """
 
     def __init__(self, root: PathLike):
@@ -311,21 +331,104 @@ class RunStore:
     def get_or_run(self, key: RunKey, fn: Callable, force: bool = False) -> Dict:
         """Return the stored result for ``key``, running ``fn`` on a miss.
 
-        ``fn()`` returns the JSON-able result dictionary, or a
-        ``(result, networks)`` tuple when the stage also produces network
-        artefacts.  ``force=True`` always executes and overwrites.
+        The unclaimed single-key case of :meth:`run_cells`: ``fn()`` returns
+        the result, or ``(result, networks)``; ``force=True`` always
+        executes and overwrites.
         """
 
-        if not force and self.contains(key):
-            self.hits += 1
-            return self.load_result(key)
-        produced = fn()
-        networks = None
-        if isinstance(produced, tuple):
-            produced, networks = produced
-        self.save(key, produced, networks=networks)
+        (outcome,) = self.run_cells([key], lambda indices: [fn()], force=force)
+        return outcome.payload
+
+    def run_cells(
+        self,
+        keys: Sequence[RunKey],
+        compute: Callable[[List[int]], Sequence],
+        claims: Optional[ClaimBoard] = None,
+        force: bool = False,
+        offline: bool = False,
+        wait: Optional[Callable[[], bool]] = None,
+        cacheable: Optional[Callable[[int, Dict], bool]] = None,
+    ) -> List[CellOutcome]:
+        """Restore, claim, compute and publish a batch of cells; one outcome per key.
+
+        Each key is restored when ``force`` is off and the store holds it;
+        otherwise it is ``missing`` when ``offline``; otherwise it is claimed
+        on ``claims`` (unsharded runs have no board and skip claiming) and
+        re-checked after acquiring, so an entry published meanwhile is
+        restored rather than recomputed.  A key another live worker holds is
+        ``skipped``, unless ``wait()``, asked before each poll, keeps it
+        polling until the claim clears.
+
+        ``compute(indices)`` runs once per round over the claimed positions
+        into ``keys``, under :meth:`ClaimBoard.hold`, and returns one result
+        per index: the JSON-able result dictionary, or ``(result, networks)``
+        when the stage also saves network artefacts.  Results for which
+        ``cacheable(index, result)`` is false are returned but not published.
+        Claims are released on every path, so a raising ``compute`` leaves
+        no claim and publishes nothing.
+        """
+
+        outcomes: List[Optional[CellOutcome]] = [None] * len(keys)
+        pending = list(range(len(keys)))
+        while True:
+            claimed: List[int] = []
+            takeover: Dict[int, bool] = {}
+            busy: List[int] = []
+            try:
+                for index in pending:
+                    key = keys[index]
+                    if not force and self.contains(key):
+                        outcomes[index] = self._restore(key)
+                    elif offline:
+                        outcomes[index] = CellOutcome(key, "missing")
+                    elif claims is None:
+                        claimed.append(index)
+                    elif claims.acquire(key):
+                        takeover[index] = claims.last_acquire_was_takeover
+                        if not force and self.contains(key):  # published while acquiring
+                            claims.release(key)
+                            outcomes[index] = self._restore(key)
+                        else:
+                            claimed.append(index)
+                    else:
+                        busy.append(index)
+                if claimed:
+                    hold = (
+                        claims.hold([keys[index] for index in claimed])
+                        if claims is not None
+                        else contextlib.nullcontext()
+                    )
+                    with hold:
+                        produced = list(compute(list(claimed)))
+                        for index, result in zip(claimed, produced):
+                            outcomes[index] = self._publish(
+                                keys[index], index, result, cacheable, takeover.get(index, False)
+                            )
+            finally:
+                if claims is not None:
+                    for index in claimed:
+                        claims.release(keys[index])
+            if not busy or wait is None or not wait():
+                break
+            time.sleep(_CLAIM_POLL_SECONDS)
+            pending = busy
+        for index in busy:
+            outcomes[index] = CellOutcome(keys[index], "skipped")
+        return outcomes
+
+    def _restore(self, key: RunKey) -> CellOutcome:
+        self.hits += 1
+        return CellOutcome(key, "cached", self.load_result(key))
+
+    def _publish(self, key: RunKey, index: int, result, cacheable, stale: bool) -> CellOutcome:
         self.misses += 1
-        return self.load_result(key)
+        networks = None
+        if isinstance(result, tuple):
+            result, networks = result
+        if cacheable is None or cacheable(index, result):
+            self.save(key, result, networks=networks)
+            result = self.load_result(key)
+        return CellOutcome(key, "computed", result, stale_takeover=stale)
 
     # -- coordination --------------------------------------------------
     def claims(self, owner: str, lease_seconds: float = DEFAULT_CLAIM_LEASE) -> ClaimBoard:

@@ -90,12 +90,12 @@ _TIMING_KEYS = ("total_seconds", "reach_seconds", "invariant_seconds")
 #: The training-budget keys that scale with ``budget_scale``.
 _SCALABLE_HINTS = ("mixing_epochs", "mixing_steps", "distill_epochs", "dataset_size", "eval_samples")
 
+#: Store-cell outcomes after which a cell needs no more work.
+_FINISHED = ("cached", "computed")
+
 #: Manifest file a sharded run writes into its run directory so that
 #: ``repro runs merge`` can replay the exact same grid.
 MANIFEST_FILE = "matrix.json"
-
-#: Poll period while waiting for another shard to publish a dependency.
-_WAIT_POLL_SECONDS = 0.05
 
 
 def scale_budget_hints(hints: Mapping[str, object], factor: float) -> Dict[str, object]:
@@ -242,6 +242,16 @@ class ScenarioMatrixReport:
     #: ``"resource-exhausted"`` when a shard wall-clock budget expired.
     status: str = "ok"
     shard: Optional[str] = None
+
+    def counters(self) -> Dict[str, int]:
+        """The four cell counters, as telemetry and the shard summary record them."""
+
+        return {
+            "cells_computed": self.cells_computed,
+            "cells_cached": self.cells_cached,
+            "cells_stolen": self.cells_stolen,
+            "cells_skipped": self.cells_skipped,
+        }
 
     @property
     def num_cells(self) -> int:
@@ -455,10 +465,9 @@ class _MatrixExecution:
             f"[{ctx.name}] training kappa_star ({hints.get('mixing_epochs', '?')} mixing epochs)"
         )
         set_global_seed(self.seed)
-        result = CocktailPipeline(ctx.system, list(ctx.experts.values()), config).run(
+        return CocktailPipeline(ctx.system, list(ctx.experts.values()), config).run(
             include_direct_baseline=False
         )
-        return result
 
     def _ensure_student(self, ctx: _ScenarioContext, wait: bool = True) -> bool:
         """Make ``ctx.student`` available; False when it cannot be (yet).
@@ -480,64 +489,81 @@ class _MatrixExecution:
 
         from repro.experts.base import NeuralController
 
-        key = self._train_key(ctx, config)
-        while True:
-            if self.reuse and self.store.contains(key):
-                network = self.store.load_network(key, "kappa_star")
-                ctx.student = NeuralController(network, name="kappa_star")
-                self.store.hits += 1
-                self.report.cells_cached += 1
-                self.tele.emit(CellCached, scenario=ctx.name, controller="kappa_star", cell="train")
-                self.say(f"[{ctx.name}] kappa_star restored from the run store")
-                return True
-            if self.offline:
-                self.missing.append(f"train/{key.digest[:16]} ({ctx.name})")
+        identity = {"scenario": ctx.name, "controller": "kappa_star", "cell": "train"}
+        trained = []
+
+        def compute(indices):
+            self.tele.emit(CellStarted, **identity)
+            result = self._train_student(ctx, config, hints)
+            trained.append(result)
+            summary = {
+                "experts": [expert.name for expert in result.experts],
+                "dataset_size": len(result.dataset),
+            }
+            return [(summary, {"kappa_star": result.student.network})]
+
+        train_start = time.perf_counter()
+        (outcome,) = self._cells(
+            [self._train_key(ctx, config)],
+            compute,
+            wait=(lambda: not self._out_of_time()) if wait else None,
+        )
+        if outcome.status == "cached":
+            network = self.store.load_network(outcome.key, "kappa_star")
+            ctx.student = NeuralController(network, name="kappa_star")
+            self.say(f"[{ctx.name}] kappa_star restored from the run store")
+        elif outcome.status == "computed":
+            for stage, stage_secs in trained[0].stage_seconds.items():
+                self.tele.emit(StageTiming, scenario=ctx.name, stage=stage, seconds=stage_secs)
+            ctx.student = trained[0].student
+        self._account(outcome, identity, seconds=time.perf_counter() - train_start)
+        return ctx.student is not None
+
+    # -- store cells ---------------------------------------------------
+    def _cells(self, keys, compute, wait=None):
+        """Run store cells under this run's reuse, offline and claim policy."""
+
+        return self.store.run_cells(
+            keys,
+            compute,
+            claims=self.claims,
+            force=not self.reuse,
+            offline=self.offline,
+            wait=wait,
+        )
+
+    def _account(self, outcome, identity: Dict, stolen: bool = False, **finished) -> bool:
+        """Fold one store-cell outcome into the report and the event log.
+
+        Returns whether the cell contributes a row.  ``stolen`` marks a
+        foreign grid cell picked up by the steal pass: one another shard
+        already published is dropped without a row, and a fresh one counts
+        as stolen.  Only owned grid cells count as skipped; the student
+        (``cell="train"``) is not a grid cell.  ``finished`` completes the
+        ``CellFinished`` event of a computed cell.
+        """
+
+        status, key = outcome.status, outcome.key
+        if status == "missing":
+            detail = identity["scenario"]
+            if "perturbation" in identity:
+                detail += f":{identity['controller']}:{identity['perturbation']}"
+            self.missing.append(f"{key.stage}/{key.digest[:16]} ({detail})")
+        elif status == "skipped":
+            if not stolen and identity["cell"] != "train":
+                self.report.cells_skipped += 1
+        elif status == "cached":
+            if stolen:
                 return False
-            if self.claims is None or self.claims.acquire(key):
-                try:
-                    if (
-                        self.claims is not None
-                        and self.reuse
-                        and self.store.contains(key)
-                    ):
-                        continue  # published while we acquired; restore above
-                    hold = self.claims.hold(key) if self.claims is not None else _null_context()
-                    with hold:
-                        self.tele.emit(
-                            CellStarted, scenario=ctx.name, controller="kappa_star", cell="train"
-                        )
-                        train_start = time.perf_counter()
-                        result = self._train_student(ctx, config, hints)
-                        self.store.save(
-                            key,
-                            {
-                                "experts": [expert.name for expert in result.experts],
-                                "dataset_size": len(result.dataset),
-                            },
-                            networks={"kappa_star": result.student.network},
-                        )
-                    self.store.misses += 1
-                    self.report.cells_computed += 1
-                    for stage, stage_secs in result.stage_seconds.items():
-                        self.tele.emit(
-                            StageTiming, scenario=ctx.name, stage=stage, seconds=stage_secs
-                        )
-                    self.tele.emit(
-                        CellFinished,
-                        scenario=ctx.name,
-                        controller="kappa_star",
-                        cell="train",
-                        seconds=time.perf_counter() - train_start,
-                    )
-                    ctx.student = result.student
-                    return True
-                finally:
-                    if self.claims is not None:
-                        self.claims.release(key)
-            else:
-                if not wait or self._out_of_time():
-                    return False
-                time.sleep(_WAIT_POLL_SECONDS)
+            self.report.cells_cached += 1
+            self.tele.emit(CellCached, **identity)
+        else:
+            self.report.cells_computed += 1
+            self.tele.emit(CellFinished, **identity, **finished)
+            if stolen:
+                self.report.cells_stolen += 1
+                self.tele.emit(CellStolen, stale=outcome.stale_takeover, **identity)
+        return status in _FINISHED
 
     # -- evaluate cells ------------------------------------------------
     def _evaluate_cell(
@@ -554,10 +580,9 @@ class _MatrixExecution:
             "perturbation": perturbation,
         }
 
-        def compute_cell():
+        def compute(indices=None):
             self.tele.emit(CellStarted, **identity)
-            compute_start = time.perf_counter()
-            outcome = evaluate_robustness(
+            result = evaluate_robustness(
                 ctx.system,
                 controller,
                 perturbation=perturbation,
@@ -565,19 +590,17 @@ class _MatrixExecution:
                 samples=self.samples,
                 rng=self.seed,
             )
-            self.tele.emit(
-                CellFinished,
-                seconds=time.perf_counter() - compute_start,
-                safe_rate=outcome.safe_rate,
-                **identity,
-            )
-            return {
-                "safe_rate": outcome.safe_rate,
-                "mean_energy": outcome.mean_energy,
-                "samples": outcome.samples,
-            }
+            return [
+                {
+                    "safe_rate": result.safe_rate,
+                    "mean_energy": result.mean_energy,
+                    "samples": result.samples,
+                }
+            ]
 
-        if self.store is not None:
+        if self.store is None:
+            (payload,) = compute()
+        else:
             key = self.store.key(
                 "evaluate",
                 {
@@ -590,77 +613,19 @@ class _MatrixExecution:
                     "seed": self.seed,
                 },
             )
-            if self.offline:
-                if not self.store.contains(key):
-                    self.missing.append(
-                        f"evaluate/{key.digest[:16]} ({ctx.name}:{controller_name}:{perturbation})"
-                    )
-                    return False
-                payload = self.store.load_result(key)
-                self.store.hits += 1
-                self.report.cells_cached += 1
-            elif self.claims is not None:
-                if stolen and self.reuse and self.store.contains(key):
-                    return True  # already finished elsewhere; nothing to steal
-                payload = self._claimed_evaluate(key, compute_cell, stolen, identity)
-                if payload is None:
-                    return False
-            else:
-                hits_before = self.store.hits
-                payload = self.store.get_or_run(key, compute_cell, force=not self.reuse)
-                if self.store.hits > hits_before:
-                    self.report.cells_cached += 1
-                    self.tele.emit(CellCached, **identity)
-                else:
-                    self.report.cells_computed += 1
-        else:
-            payload = compute_cell()
-        row = {
-            "scenario": ctx.name,
-            "controller": controller_name,
-            "cell": "evaluate",
-            "perturbation": perturbation,
-            "safe_rate": payload["safe_rate"],
-            "mean_energy": payload["mean_energy"],
-            "samples": payload["samples"],
-        }
+            (outcome,) = self._cells([key], compute)
+            payload = outcome.payload
+            finished = {} if payload is None else {"safe_rate": payload["safe_rate"]}
+            seconds = time.perf_counter() - cell_start
+            if not self._account(outcome, identity, stolen, seconds=seconds, **finished):
+                return outcome.status in _FINISHED  # cached: finished elsewhere
+        row = dict(identity)
+        row.update((name, payload[name]) for name in ("safe_rate", "mean_energy", "samples"))
         if self.store is None:
             row["seconds"] = time.perf_counter() - cell_start
         self.report.rows.append(row)
         self.emit(row)
         return True
-
-    def _claimed_evaluate(
-        self, key, compute_cell: Callable, stolen: bool, identity: Dict
-    ) -> Optional[Dict]:
-        """Claim-guarded execution of one evaluation cell (sharded runs)."""
-
-        if self.reuse and self.store.contains(key):
-            self.store.hits += 1
-            self.report.cells_cached += 1
-            self.tele.emit(CellCached, **identity)
-            return self.store.load_result(key)
-        if not self.claims.acquire(key):
-            if not stolen:  # an owned cell left to a live claimant
-                self.report.cells_skipped += 1
-            return None
-        stale_takeover = self.claims.last_acquire_was_takeover
-        try:
-            if self.reuse and self.store.contains(key):  # published while acquiring
-                self.store.hits += 1
-                self.report.cells_cached += 1
-                self.tele.emit(CellCached, **identity)
-                return self.store.load_result(key)
-            with self.claims.hold(key):
-                self.store.save(key, compute_cell())
-            self.store.misses += 1
-            self.report.cells_computed += 1
-            if stolen:
-                self.report.cells_stolen += 1
-                self.tele.emit(CellStolen, stale=stale_takeover, **identity)
-            return self.store.load_result(key)
-        finally:
-            self.claims.release(key)
 
     # -- verify cells --------------------------------------------------
     def _verify_jobs(self, ctxs: Sequence[_ScenarioContext]):
@@ -680,85 +645,62 @@ class _MatrixExecution:
             )
         return jobs
 
-    def _verify(self, ctxs: Sequence[_ScenarioContext], stolen: bool = False) -> None:
-        """Fan one verification job per scenario across the sweep pool."""
+    def _sweep_finished(self, result) -> None:
+        self.tele.emit(
+            SweepJobFinished,
+            job=result.name,
+            system=result.system,
+            status=result.status,
+            seconds=result.elapsed_seconds,
+            cached=result.cached,
+            verified=result.verified,
+        )
+
+    def _verify(self, ctxs: Sequence[_ScenarioContext], stolen: bool = False) -> List:
+        """Fan one verification job per scenario across the sweep pool.
+
+        Returns each job's store outcome (None without a store).
+        """
 
         if not ctxs:
-            return
-        from repro.verification.sweep import VerificationSweep
+            return []
+        from repro.verification.sweep import VerificationSweep, replay_result
 
         jobs = self._verify_jobs(ctxs)
-        if stolen and self.reuse:
-            # Steal only unfinished verification work; completed foreign
-            # cells belong to the merge, not to this shard's report.
-            pending = [
-                (ctx, job)
-                for ctx, job in zip(ctxs, jobs)
-                if not self.store.contains(self.store.key("verify", job.cache_config()))
-            ]
-            if not pending:
-                return
-            ctxs = [ctx for ctx, _ in pending]
-            jobs = [job for _, job in pending]
-        if self.offline:
+        if self.offline:  # nothing executes: every job replays or is missing
             keys = [self.store.key("verify", job.cache_config()) for job in jobs]
-            present = []
-            for ctx, job, key in zip(ctxs, jobs, keys):
-                if self.store.contains(key):
-                    present.append((ctx, job))
-                else:
-                    self.missing.append(f"verify/{key.digest[:16]} ({ctx.name})")
-            if not present:
-                return
-            ctxs = [ctx for ctx, _ in present]
-            jobs = [job for _, job in present]
+            outcomes = self._cells(keys, compute=None)
+            results = [replay_result(job, outcome) for job, outcome in zip(jobs, outcomes)]
         else:
             self.say(
                 f"verifying {len(jobs)} student(s) across {max(1, self.jobs)} process(es)"
             )
-        ctx_by_job = {id(job): ctx for ctx, job in zip(ctxs, jobs)}
+            scenario_of = {id(job): ctx.name for ctx, job in zip(ctxs, jobs)}
 
-        def on_job_start(job) -> None:
-            # Fires in this process, right before the job enters execution.
-            self.tele.emit(
-                CellStarted,
-                scenario=ctx_by_job[id(job)].name,
-                controller="kappa_star",
-                cell="verify",
-            )
+            def on_job_start(job) -> None:
+                # Fires in this process, right before the job enters execution.
+                self.tele.emit(
+                    CellStarted, scenario=scenario_of[id(job)], controller="kappa_star", cell="verify"
+                )
 
-        def on_job_result(job, result) -> None:
-            self.tele.emit(
-                SweepJobFinished,
-                job=job.name,
-                system=job.system,
-                status=result.status,
-                seconds=result.elapsed_seconds,
-                cached=result.cached,
-                verified=result.verified,
-            )
-
-        sweep = VerificationSweep(
-            jobs,
-            processes=self.jobs or None,
-            store=self.store,
-            force=not self.reuse,
-            claims=self.claims,
-            on_start=on_job_start,
-            on_result=on_job_result,
-        )
-        sweep_report = sweep.run()
-        for ctx, result in zip(ctxs, sweep_report.results):
-            if result.status == "skipped":
-                if not stolen:  # an owned cell left to a live claimant
-                    self.report.cells_skipped += 1
+            sweep_report = VerificationSweep(
+                jobs,
+                processes=self.jobs or None,
+                store=self.store,
+                force=not self.reuse,
+                claims=self.claims,
+                on_start=on_job_start,
+                on_result=lambda job, result: self._sweep_finished(result),
+            ).run()
+            results = sweep_report.results
+            outcomes = sweep_report.outcomes or [None] * len(jobs)
+        for ctx, result, outcome in zip(ctxs, results, outcomes):
+            identity = {"scenario": ctx.name, "controller": "kappa_star", "cell": "verify"}
+            if outcome is not None and not self._account(
+                outcome, identity, stolen, seconds=result.elapsed_seconds, status=result.status
+            ):
                 continue
-            row = {
-                "scenario": ctx.name,
-                "controller": "kappa_star",
-                "cell": "verify",
-                "status": result.status,
-            }
+            row = dict(identity, status=result.status)
             if self.store is None:
                 row["seconds"] = result.elapsed_seconds
             if result.error:
@@ -775,48 +717,16 @@ class _MatrixExecution:
             row.update(summary)
             self.report.rows.append(row)
             if result.cached:
-                self.report.cells_cached += 1
-                self.tele.emit(
-                    CellCached, scenario=ctx.name, controller="kappa_star", cell="verify"
-                )
-                self.tele.emit(
-                    SweepJobFinished,
-                    job=result.name,
-                    system=result.system,
-                    status=result.status,
-                    seconds=result.elapsed_seconds,
-                    cached=True,
-                    verified=result.verified,
-                )
-            elif self.store is not None:
-                self.report.cells_computed += 1
-                self.tele.emit(
-                    CellFinished,
-                    scenario=ctx.name,
-                    controller="kappa_star",
-                    cell="verify",
-                    seconds=result.elapsed_seconds,
-                    status=result.status,
-                )
-                if stolen:
-                    self.report.cells_stolen += 1
-                    self.tele.emit(
-                        CellStolen, scenario=ctx.name, controller="kappa_star", cell="verify"
-                    )
+                self._sweep_finished(result)
             self.emit(row)
+        return outcomes
 
     # -- main flow -----------------------------------------------------
     def _telemetry_counters(self) -> Dict[str, int]:
         """Heartbeat payload: the report's counters (read-only snapshot)."""
 
         report = self.report
-        return {
-            "cells_done": report.cells_computed + report.cells_cached,
-            "cells_computed": report.cells_computed,
-            "cells_cached": report.cells_cached,
-            "cells_stolen": report.cells_stolen,
-            "cells_skipped": report.cells_skipped,
-        }
+        return {"cells_done": report.cells_computed + report.cells_cached, **report.counters()}
 
     def run(self) -> ScenarioMatrixReport:
         contexts = self._contexts()
@@ -848,12 +758,9 @@ class _MatrixExecution:
         self.tele.emit(
             RunFinished,
             status=self.report.status,
-            cells_computed=self.report.cells_computed,
-            cells_cached=self.report.cells_cached,
-            cells_stolen=self.report.cells_stolen,
-            cells_skipped=self.report.cells_skipped,
             rows=len(self.report.rows),
             seconds=self.report.elapsed_seconds,
+            **self.report.counters(),
         )
         if self.shard is not None:
             self._write_shard_summary()
@@ -891,13 +798,13 @@ class _MatrixExecution:
                     )
 
         if not self._out_of_time():
-            verify_ctxs = [
-                by_name[cell.scenario]
-                for _, cell in owned_verify
-                if by_name[cell.scenario].student is not None or not self.train
-            ]
-            verify_ctxs = [ctx for ctx in verify_ctxs if ctx.student is not None]
-            self._verify(verify_ctxs)
+            self._verify(
+                [
+                    by_name[cell.scenario]
+                    for _, cell in owned_verify
+                    if by_name[cell.scenario].student is not None
+                ]
+            )
 
         if self.shard is not None and self.steal and not self.force:
             self._steal(contexts, by_name, cells)
@@ -910,10 +817,6 @@ class _MatrixExecution:
             and row.get("perturbation") == cell.perturbation
             for row in self.report.rows
         )
-
-    def _verify_done(self, ctx: _ScenarioContext) -> bool:
-        job = self._verify_jobs([ctx])[0]
-        return self.store.contains(self.store.key("verify", job.cache_config()))
 
     def _steal(self, contexts, by_name, cells) -> None:
         """Pick up unfinished cells until none are claimable.
@@ -937,7 +840,7 @@ class _MatrixExecution:
         while pending and progress and not self._out_of_time():
             progress = False
             done: List[int] = []
-            verify_steal: List[_ScenarioContext] = []
+            verify_steal: List[Tuple[int, _ScenarioContext]] = []
             for position, cell in pending:
                 if self._out_of_time():
                     return
@@ -946,27 +849,19 @@ class _MatrixExecution:
                     if not self._ensure_student(ctx, wait=False):
                         continue  # being trained elsewhere; revisit next round
                     progress = True
-                if cell.kind == "evaluate":
-                    if self._evaluate_cell(ctx, cell.controller, cell.perturbation, stolen=True):
-                        progress = True
-                        done.append(position)
-                else:
-                    verify_steal.append(ctx)
+                if cell.kind == "verify":
+                    verify_steal.append((position, ctx))
+                elif self._evaluate_cell(ctx, cell.controller, cell.perturbation, stolen=True):
+                    done.append(position)
             if verify_steal:
-                self._verify(verify_steal, stolen=True)
-            remaining = [
-                (position, cell)
-                for position, cell in pending
-                if position not in done
-                and not (
-                    cell.kind == "verify"
-                    and by_name[cell.scenario].student is not None
-                    and self._verify_done(by_name[cell.scenario])
-                )
-            ]
-            if len(remaining) < len(pending):
-                progress = True
-            pending = remaining
+                outcomes = self._verify([ctx for _, ctx in verify_steal], stolen=True)
+                done += [
+                    position
+                    for (position, _), outcome in zip(verify_steal, outcomes)
+                    if outcome.status in _FINISHED
+                ]
+            progress = progress or bool(done)
+            pending = [(position, cell) for position, cell in pending if position not in done]
 
     def _write_shard_summary(self) -> None:
         """Per-shard accounting dropped next to the store (ops + tests)."""
@@ -978,23 +873,14 @@ class _MatrixExecution:
         summary = {
             "shard": str(self.shard),
             "status": self.report.status,
-            "cells_computed": self.report.cells_computed,
-            "cells_cached": self.report.cells_cached,
-            "cells_stolen": self.report.cells_stolen,
-            "cells_skipped": self.report.cells_skipped,
             "rows": len(self.report.rows),
             "elapsed_seconds": self.report.elapsed_seconds,
+            **self.report.counters(),
         }
         with staging.open("w") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
         os.replace(staging, path)
-
-
-def _null_context():
-    import contextlib
-
-    return contextlib.nullcontext()
 
 
 def run_scenario_matrix(

@@ -45,6 +45,8 @@ class PartitionedApproximation:
 
     Partition ``p`` is the box ``[lows[p], highs[p]]`` with the coefficient
     tensor ``coefficients[p]`` of the given per-axis ``degrees``.
+    ``network`` is the read-only snapshot :func:`partition_network` took,
+    so every enclosure describes the partition-time weights.
     """
 
     network: MLP
@@ -60,7 +62,8 @@ class PartitionedApproximation:
     # Refined-IBP bounds are memoised per partition (keyed by the split
     # count): the overlap boxes that recur across reachability steps are
     # exactly the ones covering a whole partition, and indexing by
-    # partition makes the lookup a vectorised gather.
+    # partition makes the lookup a vectorised gather.  The snapshot's
+    # weights cannot change, so the memo cannot go stale.
     _partition_ibp: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -325,27 +328,37 @@ def partition_network(
     partition's coefficients are fitted with one stacked network
     evaluation.  A shared :class:`CoefficientCache` may be passed in so
     successive partitionings of the same network (e.g. at different target
-    errors) reuse fitted boxes.  The result describes the network's weights
-    at the time of the call; partition again after a weight update.
+    errors) reuse fitted boxes.
+
+    The result describes the network's weights at the time of the call: it
+    keeps a private snapshot whose parameter arrays are read-only, so a
+    later in-place write to ``network`` cannot leak into its enclosures.
+    Partition again after a weight update.
     """
 
     if target_error <= 0:
         raise ValueError("target_error must be positive")
     if max_partitions < 1:
         raise ValueError("max_partitions must be positive")
-    if lipschitz_constant is None:
-        lipschitz_constant = network_lipschitz(network)
-    if cache is None:
-        cache = CoefficientCache(network)
-    elif cache._function is not network:
+    if cache is not None and cache._function is not network:
         raise ValueError("the shared CoefficientCache was built for a different function")
+    snapshot = network.clone()
+    for parameter in snapshot.parameters():
+        parameter.data.flags.writeable = False
+    if lipschitz_constant is None:
+        lipschitz_constant = network_lipschitz(snapshot)
+    shared, cache = cache, CoefficientCache(snapshot)
+    if shared is not None:
+        # Entries are keyed by the fitted weights' digest, so the snapshot
+        # can share the caller's fitted boxes.
+        cache._store, cache.max_entries = shared._store, shared.max_entries
 
     degrees = np.full(domain.dimension, int(degree), dtype=int)
     lows, highs, refinements = _refine_frontier(
         domain, degrees, lipschitz_constant, target_error, max_partitions
     )
     return PartitionedApproximation(
-        network=network,
+        network=snapshot,
         domain=domain,
         lows=lows,
         highs=highs,

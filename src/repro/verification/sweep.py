@@ -57,9 +57,6 @@ class SweepJob:
     work_budget: Optional[int] = None
     invariant_grid: Optional[int] = None
     time_budget_seconds: Optional[float] = None
-    #: Must stay "float64" -- verification is float64-only; any other value
-    #: makes the job fail fast in :func:`verify_controller`.
-    dtype: str = "float64"
 
     @classmethod
     def from_network(cls, name: str, system: str, network: MLP, **parameters) -> "SweepJob":
@@ -168,6 +165,9 @@ class SweepReport:
     results: List[SweepJobResult]
     elapsed_seconds: float
     processes: int
+    #: Each job's run-store :class:`~repro.experiments.store.CellOutcome`
+    #: (empty without a store).
+    outcomes: List = field(default_factory=list)
 
     @property
     def num_verified(self) -> int:
@@ -261,7 +261,6 @@ def run_sweep_job(job: SweepJob) -> SweepJobResult:
             reach_work_budget=job.work_budget,
             invariant_grid=job.invariant_grid,
             time_budget_seconds=job.time_budget_seconds,
-            dtype=job.dtype,
         )
         summary = report.summary()
         if job.invariant_grid and report.invariant is None:
@@ -293,15 +292,15 @@ class VerificationSweep:
     pool), which is also the deterministic mode the equivalence tests use.
     Results always come back in job order.
 
-    ``store`` enables digest-keyed result caching: each job's identity is
-    its :meth:`SweepJob.cache_config` (controller weight digest x analysis
-    budgets), successful results are recorded in the
-    :class:`~repro.experiments.store.RunStore`, and jobs whose digest is
-    already present are replayed from disk instead of dispatched -- only
-    the misses ever reach the pool.  Errors and wall-clock-truncated
-    verdicts are never cached (they rerun on every sweep; see
-    :meth:`_cacheable`), and ``force=True`` executes every job but still
-    records the fresh results.
+    ``store`` enables digest-keyed result caching through
+    :meth:`~repro.experiments.store.RunStore.run_cells`: each job's
+    identity is its :meth:`SweepJob.cache_config` (controller weight digest
+    x analysis budgets), jobs whose digest is already present are replayed
+    from disk, and only the misses ever reach the pool, as one batch.
+    Errors and wall-clock-truncated verdicts are never cached (they rerun
+    on every sweep; see :func:`_cacheable`), and ``force=True`` executes
+    every job but still records the fresh results.  The report's
+    ``outcomes`` say what the store did with each job.
 
     ``claims`` (a :class:`~repro.experiments.store.ClaimBoard`, sharded
     matrix runs) coordinates concurrent sweeps over one store: each pending
@@ -341,139 +340,117 @@ class VerificationSweep:
         self.on_start = on_start
         self.on_result = on_result
 
-    def _load_cached(self, key, job: SweepJob) -> SweepJobResult:
-        payload = self.store.load_result(key)
-        self.store.hits += 1
-        # Replay under the *requesting* job's labels: the digest canonicalises
-        # variant spellings, so the entry may have been produced by a job
-        # named after an equivalent spec (vanderpol?mu=1.50 vs ?mu=1.5).
-        summary = dict(payload.get("summary", {}))
-        if "controller" in summary:
-            summary["controller"] = job.name
-        return SweepJobResult(
-            name=job.name,
-            system=job.system,
-            status=payload["status"],
-            summary=summary,
-            error=payload.get("error"),
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            cached=True,
-        )
-
-    @staticmethod
-    def _cacheable(job: SweepJob, result: SweepJobResult) -> bool:
-        """Only deterministic outcomes may be recorded.
-
-        Errors always rerun.  A wall-clock-truncated analysis
-        (``time_budget_seconds`` bound and a ``resource-exhausted`` verdict)
-        depends on machine load, so replaying it would make a transient
-        slowdown permanent; work-budget exhaustion is a deterministic count
-        and caches fine.
-        """
-
-        if result.status != "ok":
-            return False
-        if job.time_budget_seconds:
-            statuses = (
-                result.summary.get("reach_status"),
-                result.summary.get("invariant_status"),
-            )
-            if "resource-exhausted" in statuses:
-                return False
-        return True
-
-    def _save_result(self, key, result: SweepJobResult) -> None:
-        payload = {
-            "name": result.name,
-            "system": result.system,
-            "status": result.status,
-            "summary": result.summary,
-            "elapsed_seconds": result.elapsed_seconds,
-        }
-        if result.error:
-            payload["error"] = result.error
-        self.store.save(key, payload)
-
     def run(self) -> SweepReport:
         start = time.perf_counter()
-        if not self.jobs:
-            return SweepReport(results=[], elapsed_seconds=0.0, processes=self.processes)
+        outcomes: List = []
+        if self.store is None:
+            results = self._execute(self.jobs)
+        else:
+            fresh: Dict[int, SweepJobResult] = {}
 
-        keys: List = [None] * len(self.jobs)
-        results: List[Optional[SweepJobResult]] = [None] * len(self.jobs)
-        pending = list(range(len(self.jobs)))
-        if self.store is not None:
-            pending = []
-            for index, job in enumerate(self.jobs):
-                keys[index] = self.store.key("verify", job.cache_config())
-                if not self.force and self.store.contains(keys[index]):
-                    results[index] = self._load_cached(keys[index], job)
-                else:
-                    pending.append(index)
+            def compute(indices: List[int]) -> List[Dict]:
+                executed = self._execute([self.jobs[index] for index in indices])
+                fresh.update(zip(indices, executed))
+                return [_payload(result) for result in executed]
 
-        claimed: List[int] = []
-        if pending and self.claims is not None:
-            for index in pending:
-                if not self.force and self.store.contains(keys[index]):
-                    results[index] = self._load_cached(keys[index], job=self.jobs[index])
-                elif self.claims.acquire(keys[index]):
-                    if not self.force and self.store.contains(keys[index]):
-                        # Published between the contains probe and the claim.
-                        self.claims.release(keys[index])
-                        results[index] = self._load_cached(keys[index], job=self.jobs[index])
-                    else:
-                        claimed.append(index)
-                else:
-                    results[index] = SweepJobResult(
-                        name=self.jobs[index].name,
-                        system=self.jobs[index].system,
-                        status="skipped",
-                    )
-            pending = claimed
-
-        try:
-            if pending:
-                hold = (
-                    self.claims.hold([keys[index] for index in pending])
-                    if self.claims is not None
-                    else contextlib.nullcontext()
-                )
-                with hold:
-                    if self.on_start is not None:
-                        for index in pending:
-                            self.on_start(self.jobs[index])
-                    fresh: List[SweepJobResult] = []
-                    if self.processes <= 1 or len(pending) == 1:
-                        for index in pending:
-                            result = run_sweep_job(self.jobs[index])
-                            if self.on_result is not None:
-                                self.on_result(self.jobs[index], result)
-                            fresh.append(result)
-                    else:
-                        payloads = [self.jobs[index] for index in pending]
-                        context = multiprocessing.get_context(
-                            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-                        )
-                        with context.Pool(processes=min(self.processes, len(pending))) as pool:
-                            # imap keeps job order but streams completions,
-                            # so on_result fires as each worker reports.
-                            for index, result in zip(pending, pool.imap(run_sweep_job, payloads)):
-                                if self.on_result is not None:
-                                    self.on_result(self.jobs[index], result)
-                                fresh.append(result)
-                for index, result in zip(pending, fresh):
-                    if self.store is not None:
-                        self.store.misses += 1
-                        if self._cacheable(self.jobs[index], result):
-                            self._save_result(keys[index], result)
-                    results[index] = result
-        finally:
-            if self.claims is not None:
-                for index in claimed:
-                    self.claims.release(keys[index])
-
+            outcomes = self.store.run_cells(
+                [self.store.key("verify", job.cache_config()) for job in self.jobs],
+                compute,
+                claims=self.claims,
+                force=self.force,
+                cacheable=lambda index, payload: _cacheable(self.jobs[index], payload),
+            )
+            results = [
+                fresh[index] if outcome.status == "computed" else replay_result(job, outcome)
+                for index, (job, outcome) in enumerate(zip(self.jobs, outcomes))
+            ]
         return SweepReport(
-            results=list(results),
+            results=results,
             elapsed_seconds=time.perf_counter() - start,
             processes=self.processes,
+            outcomes=outcomes,
         )
+
+    def _execute(self, jobs: List[SweepJob]) -> List[SweepJobResult]:
+        """Run ``jobs`` inline or across the pool, in job order."""
+
+        if self.on_start is not None:
+            for job in jobs:
+                self.on_start(job)
+        results: List[SweepJobResult] = []
+        with contextlib.ExitStack() as stack:
+            if self.processes <= 1 or len(jobs) <= 1:
+                stream = map(run_sweep_job, jobs)
+            else:
+                context = multiprocessing.get_context(
+                    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+                )
+                pool = stack.enter_context(context.Pool(processes=min(self.processes, len(jobs))))
+                # imap keeps job order but streams completions, so on_result
+                # fires as each worker reports.
+                stream = pool.imap(run_sweep_job, jobs)
+            for job, result in zip(jobs, stream):
+                if self.on_result is not None:
+                    self.on_result(job, result)
+                results.append(result)
+        return results
+
+
+def _payload(result: SweepJobResult) -> Dict:
+    """The run-store record of one executed job."""
+
+    payload = {
+        "name": result.name,
+        "system": result.system,
+        "status": result.status,
+        "summary": result.summary,
+        "elapsed_seconds": result.elapsed_seconds,
+    }
+    if result.error:
+        payload["error"] = result.error
+    return payload
+
+
+def _cacheable(job: SweepJob, payload: Dict) -> bool:
+    """Only deterministic outcomes may be recorded.
+
+    Errors always rerun.  A wall-clock-truncated analysis
+    (``time_budget_seconds`` bound and a ``resource-exhausted`` verdict)
+    depends on machine load, so replaying it would make a transient
+    slowdown permanent; work-budget exhaustion is a deterministic count and
+    caches fine.
+    """
+
+    if payload["status"] != "ok":
+        return False
+    if job.time_budget_seconds:
+        summary = payload["summary"]
+        if "resource-exhausted" in (summary.get("reach_status"), summary.get("invariant_status")):
+            return False
+    return True
+
+
+def replay_result(job: SweepJob, outcome) -> SweepJobResult:
+    """The :class:`SweepJobResult` of a job the run store did not execute.
+
+    A ``cached`` outcome replays under the *requesting* job's labels: the
+    digest canonicalises variant spellings, so the entry may have been
+    produced by a job named after an equivalent spec (``vanderpol?mu=1.50``
+    vs ``?mu=1.5``).  Any other outcome keeps its status (``skipped``).
+    """
+
+    if outcome.status != "cached":
+        return SweepJobResult(name=job.name, system=job.system, status=outcome.status)
+    payload = outcome.payload
+    summary = dict(payload.get("summary", {}))
+    if "controller" in summary:
+        summary["controller"] = job.name
+    return SweepJobResult(
+        name=job.name,
+        system=job.system,
+        status=payload["status"],
+        summary=summary,
+        error=payload.get("error"),
+        elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
+        cached=True,
+    )

@@ -10,6 +10,8 @@ canonicalisation that stamps each record.
 """
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +104,141 @@ class TestGetOrRun:
         assert [p.name for p in incomplete] == [".tmp-deadbeef-0"]
         assert removed == []
         assert not staging.exists()
+
+
+class TestRunCells:
+    """The claimed store-cell primitive, with two workers on one store."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        return RunStore(tmp_path)
+
+    @pytest.fixture
+    def boards(self, store):
+        return store.claims(owner="mine"), store.claims(owner="rival")
+
+    def _keys(self, store, count):
+        return [store.key("evaluate", {"cell": index}) for index in range(count)]
+
+    @staticmethod
+    def _recording(calls, result=lambda index: {"value": index}):
+        def compute(indices):
+            calls.append(list(indices))
+            return [result(index) for index in indices]
+
+        return compute
+
+    def test_each_outcome_from_one_batch(self, store, boards):
+        mine, rival = boards
+        cached, computed, skipped = self._keys(store, 3)
+        store.save(cached, {"value": "old"})
+        assert rival.acquire(skipped)
+        calls = []
+        outcomes = store.run_cells(
+            [cached, computed, skipped], self._recording(calls), claims=mine
+        )
+        assert [o.status for o in outcomes] == ["cached", "computed", "skipped"]
+        assert [o.payload for o in outcomes] == [{"value": "old"}, {"value": 1}, None]
+        assert [o.key for o in outcomes] == [cached, computed, skipped]
+        assert calls == [[1]], "compute runs once, over the claimed subset only"
+        assert store.contains(computed) and not store.contains(skipped)
+        assert not mine.path(computed).exists(), "the claim is released after publish"
+        assert rival.path(skipped).exists(), "a live foreign claim is left alone"
+        assert (store.hits, store.misses) == (1, 1)
+
+        (missing,) = store.run_cells([skipped], self._recording(calls), offline=True)
+        assert (missing.status, missing.payload) == ("missing", None)
+        assert calls == [[1]], "offline executes nothing"
+
+    def test_unclaimed_batch_and_force(self, store):
+        keys = self._keys(store, 2)
+        store.save(keys[0], {"value": "old"})
+        calls = []
+        outcomes = store.run_cells(keys, self._recording(calls))
+        assert [o.status for o in outcomes] == ["cached", "computed"]
+        forced = store.run_cells(keys, self._recording(calls), force=True)
+        assert [o.status for o in forced] == ["computed", "computed"]
+        assert calls == [[1], [0, 1]]
+        assert store.load_result(keys[0]) == {"value": 0}, "force overwrites"
+
+    def test_entry_published_while_acquiring_is_restored(self, store, boards):
+        mine, rival = boards
+        (key,) = self._keys(store, 1)
+        acquire = mine.acquire
+
+        def acquire_after_rival_publishes(claimed):
+            store.save(claimed, {"value": "rival"})  # lands after the probe
+            return acquire(claimed)
+
+        mine.acquire = acquire_after_rival_publishes
+        calls = []
+        (outcome,) = store.run_cells([key], self._recording(calls), claims=mine)
+        assert (outcome.status, outcome.payload) == ("cached", {"value": "rival"})
+        assert calls == []
+        assert not mine.path(key).exists()
+
+    def test_stale_lease_takeover_sets_the_flag(self, store):
+        (key,) = self._keys(store, 1)
+        dead = store.claims(owner="dead", lease_seconds=0.05)
+        live = store.claims(owner="live", lease_seconds=0.05)
+        assert dead.acquire(key)
+        os.utime(dead.path(key), (time.time() - 60.0, time.time() - 60.0))
+        (outcome,) = store.run_cells([key], self._recording([]), claims=live)
+        assert outcome.status == "computed" and outcome.stale_takeover
+        assert live.takeovers == 1
+        assert not live.path(key).exists()
+
+    def test_raising_compute_releases_and_publishes_nothing(self, store, boards):
+        mine, _ = boards
+        keys = self._keys(store, 2)
+
+        def boom(indices):
+            assert all(mine.path(keys[index]).exists() for index in indices)
+            raise RuntimeError("mid-cell crash")
+
+        with pytest.raises(RuntimeError):
+            store.run_cells(keys, boom, claims=mine)
+        assert not any(mine.path(key).exists() for key in keys)
+        assert store.missing(keys) == keys
+        assert store.entries() == []
+
+    def test_uncacheable_result_is_returned_not_published(self, store, boards):
+        mine, _ = boards
+        keys = self._keys(store, 2)
+        outcomes = store.run_cells(
+            keys,
+            self._recording([], result=lambda index: {"status": "error" if index else "ok"}),
+            claims=mine,
+            cacheable=lambda index, result: result["status"] == "ok",
+        )
+        assert [o.payload for o in outcomes] == [{"status": "ok"}, {"status": "error"}]
+        assert [o.status for o in outcomes] == ["computed", "computed"]
+        assert store.missing(keys) == [keys[1]]
+        assert store.misses == 2
+
+    def test_wait_polls_until_the_claimant_publishes(self, store, boards):
+        mine, rival = boards
+        (key,) = self._keys(store, 1)
+        assert rival.acquire(key)
+        polls = []
+
+        def keep_waiting():
+            polls.append(1)
+            if len(polls) == 2:  # the claimant finishes while we wait
+                store.save(key, {"value": "rival"})
+                rival.release(key)
+            return True
+
+        calls = []
+        (outcome,) = store.run_cells([key], self._recording(calls), claims=mine, wait=keep_waiting)
+        assert (outcome.status, outcome.payload) == ("cached", {"value": "rival"})
+        assert calls == [] and len(polls) == 2
+
+        assert rival.acquire(key)
+        (gave_up,) = store.run_cells(
+            [key], self._recording(calls), claims=mine, force=True, wait=lambda: False
+        )
+        assert gave_up.status == "skipped"
 
 
 class TestInspection:

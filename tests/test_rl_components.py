@@ -87,6 +87,26 @@ class TestRolloutBuffer:
         assert abs(float(buffer.advantages.mean())) < 1e-9
         assert float(buffer.advantages.std()) == pytest.approx(1.0, abs=1e-6)
 
+    def test_stored_arrays_are_float64(self):
+        buffer = RolloutBuffer(num_envs=2)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            buffer.add_batch(
+                states=rng.normal(size=(2, 3)).astype(np.float32),
+                actions=rng.normal(size=(2, 1)).astype(np.float32),
+                rewards=rng.normal(size=2),
+                dones=np.array([False, False]),
+                values=rng.normal(size=2),
+                log_probs=rng.normal(size=2),
+            )
+        buffer.last_values = rng.normal(size=2).astype(np.float32)
+        stacked = buffer.time_major()
+        for key in ("states", "actions", "rewards", "values", "log_probs"):
+            assert stacked[key].dtype == np.float64, key
+        assert buffer.bootstrap_values().dtype == np.float64
+        buffer.set_advantages(np.ones(10, dtype=np.float32), np.ones(10, dtype=np.float32))
+        assert buffer.advantages.dtype == buffer.returns.dtype == np.float64
+
     def test_clear(self):
         buffer = self._filled_buffer(5)
         buffer.clear()

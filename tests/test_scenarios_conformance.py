@@ -139,33 +139,3 @@ class TestScenarioConformance:
     def test_initial_set_inside_safe_region(self, name, bundles):
         _, system = bundles[name]
         assert system.safe_region.contains_box(system.initial_set)
-
-    def test_rollout_supports_both_training_dtypes(self, name, bundles):
-        """Every scenario rolls out in both training precisions: float64 is
-        the default, and float32 stays within float32 tolerance of it on
-        the same seed (see repro.utils.dtypes for the policy)."""
-
-        from repro.systems.simulation import rollout_batch
-
-        _, system = bundles[name]
-        controller = make_default_experts(system)[0]
-        rng = np.random.default_rng(5)
-        initial_states = system.initial_set.sample(rng, count=6)
-        golden = rollout_batch(
-            system, controller, initial_states, horizon=20,
-            rng=np.random.default_rng(0), dtype="float64",
-        )
-        reduced = rollout_batch(
-            system, controller, initial_states, horizon=20,
-            rng=np.random.default_rng(0), dtype="float32",
-        )
-        assert golden.states.dtype == np.float64
-        assert reduced.states.dtype == np.float32
-        assert reduced.controls.dtype == np.float32
-        np.testing.assert_array_equal(reduced.safe, golden.safe)
-        np.testing.assert_array_equal(reduced.steps, golden.steps)
-        scale = max(1.0, float(np.max(np.abs(golden.states))))
-        np.testing.assert_allclose(
-            reduced.states, golden.states.astype(np.float32),
-            rtol=1e-3, atol=1e-3 * scale,
-        )

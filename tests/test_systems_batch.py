@@ -97,6 +97,14 @@ class TestBatchScalarEquivalence:
         assert member.energy == scalar.energy
         assert member.violation_step == scalar.violation_step
 
+    def test_histories_are_float64(self, vanderpol):
+        controller = NeuralController(MLP(2, 1, hidden_sizes=(16, 16), seed=0))
+        initial = sample_initial_states(vanderpol, 16, rng=0).astype(np.float32)
+        batch = rollout_batch(vanderpol, controller, initial, rng=np.random.default_rng(0))
+        assert batch.states.dtype == np.float64
+        assert batch.observed_states.dtype == np.float64
+        assert batch.controls.dtype == np.float64
+
     def test_n1_matches_rollout_under_noise(self, vanderpol):
         noise = UniformMeasurementNoise(perturbation_budget(vanderpol, 0.1))
         initial = np.array([0.3, 0.4])

@@ -95,3 +95,47 @@ class TestPiecewiseEvaluation:
         wide = approx.control_bounds(Box([-1, -1], [1, 1]), include_error=False)
         narrow = approx.control_bounds(Box([-0.1, -0.1], [0.1, 0.1]), include_error=False)
         assert np.all(narrow.width <= wide.width + 1e-9)
+
+
+class TestWeightSnapshot:
+    """The approximation describes the weights it was partitioned from.
+
+    Its Lipschitz constant, error bound and refined-IBP memo are taken at
+    partition time, so Bernstein refits and fresh IBP must read those same
+    weights even when the caller writes the network in place afterwards.
+    """
+
+    def _queries(self):
+        centres = np.random.default_rng(0).uniform(-1.7, 1.7, size=(100, 2))
+        return centres - 0.3, centres + 0.3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_enclosures_survive_an_in_place_weight_write(self, seed, domain):
+        network = MLP(2, 1, hidden_sizes=(16, 16), seed=seed)
+        approx = partition_network(network, domain, target_error=0.5, degree=2, max_partitions=64)
+        lows, highs = self._queries()
+        before = approx.control_bounds_batch(lows[:50], highs[:50])
+        for parameter in network.parameters():
+            parameter.data *= 10
+        after = approx.control_bounds_batch(lows, highs)  # fresh overlaps, refits and IBP
+        again = approx.control_bounds_batch(lows[:50], highs[:50])  # memo and cache hits
+        for bound in range(2):
+            assert after[bound][:50].tobytes() == before[bound].tobytes()
+            assert again[bound].tobytes() == before[bound].tobytes()
+        reference = partition_network(
+            MLP(2, 1, hidden_sizes=(16, 16), seed=seed),
+            domain,
+            target_error=0.5,
+            degree=2,
+            max_partitions=64,
+        ).control_bounds_batch(lows, highs)
+        for bound in range(2):
+            assert after[bound].tobytes() == reference[bound].tobytes()
+
+    def test_snapshot_is_read_only(self, small_network, domain):
+        approx = partition_network(small_network, domain, target_error=0.5, degree=2)
+        assert approx.network is not small_network
+        for parameter in approx.network.parameters():
+            with pytest.raises(ValueError):
+                parameter.data *= 10
+        small_network.linear_layers()[0].weight.data *= 10  # the caller's network stays writable
