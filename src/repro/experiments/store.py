@@ -361,8 +361,9 @@ class RunStore:
 
         ``compute(indices)`` runs once per round over the claimed positions
         into ``keys``, under :meth:`ClaimBoard.hold`, and returns one result
-        per index: the JSON-able result dictionary, or ``(result, networks)``
-        when the stage also saves network artefacts.  Results for which
+        per index (any other count raises ``ValueError``): the JSON-able
+        result dictionary, or ``(result, networks)`` when the stage also saves
+        network artefacts.  Results for which
         ``cacheable(index, result)`` is false are returned but not published.
         Claims are released on every path, so a raising ``compute`` leaves
         no claim and publishes nothing.
@@ -400,6 +401,11 @@ class RunStore:
                     )
                     with hold:
                         produced = list(compute(list(claimed)))
+                        if len(produced) != len(claimed):
+                            raise ValueError(
+                                f"compute returned {len(produced)} results for "
+                                f"{len(claimed)} claimed cells"
+                            )
                         for index, result in zip(claimed, produced):
                             outcomes[index] = self._publish(
                                 keys[index], index, result, cacheable, takeover.get(index, False)

@@ -148,6 +148,37 @@ class TestNumpyRoundTrip:
             canonical_json(object())
 
 
+class TestCanonicalConstants:
+    def test_constants_join_the_dataclass_fields(self):
+        import dataclasses
+        from typing import ClassVar, Dict
+
+        @dataclasses.dataclass
+        class Plain:
+            size: int = 3
+
+        @dataclasses.dataclass
+        class Retired:
+            CANONICAL_CONSTANTS: ClassVar[Dict[str, object]] = {"mode": "fixed"}
+            size: int = 3
+
+        assert canonicalize(Plain()) == {"size": 3}
+        assert canonicalize(Retired()) == {"size": 3, "mode": "fixed"}
+        assert config_digest(Retired()) == config_digest({"mode": "fixed", "size": 3})
+        assert config_digest(Retired(size=4)) != config_digest(Retired())
+
+    def test_mixing_config_keeps_the_retired_dtype_entry(self):
+        import dataclasses
+
+        from repro.core.config import MixingConfig
+
+        config = MixingConfig(epochs=2, seed=0)
+        assert "dtype" not in {item.name for item in dataclasses.fields(MixingConfig)}
+        fields = {item.name: getattr(config, item.name) for item in dataclasses.fields(config)}
+        # The digest a run stored while the float32 option existed resolved to.
+        assert config_digest(config) == config_digest({**fields, "dtype": "float64"})
+        assert canonicalize(config)["dtype"] == "float64"
+
 class TestWeightsDigest:
     def test_sensitive_to_values_shapes_and_names(self, rng):
         weights = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}

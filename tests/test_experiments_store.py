@@ -241,6 +241,67 @@ class TestRunCells:
         assert gave_up.status == "skipped"
 
 
+    def test_wait_computes_a_key_released_without_publishing(self, store, boards):
+        mine, rival = boards
+        (key,) = self._keys(store, 1)
+        assert rival.acquire(key)
+
+        def rival_gives_up():
+            rival.release(key)  # the claimant crashed cleanly, publishing nothing
+            return True
+
+        calls = []
+        (outcome,) = store.run_cells([key], self._recording(calls), claims=mine, wait=rival_gives_up)
+        assert (outcome.status, outcome.payload) == ("computed", {"value": 0})
+        assert calls == [[0]]
+        assert store.load_result(key) == {"value": 0}
+        assert not mine.path(key).exists() and not rival.path(key).exists()
+
+    def test_force_under_claims_recomputes_and_overwrites(self, store, boards):
+        mine, _ = boards
+        keys = self._keys(store, 2)
+        for key in keys:
+            store.save(key, {"value": "old"})
+        calls = []
+        outcomes = store.run_cells(keys, self._recording(calls), claims=mine, force=True)
+        assert [o.status for o in outcomes] == ["computed", "computed"]
+        assert calls == [[0, 1]]
+        assert [store.load_result(key) for key in keys] == [{"value": 0}, {"value": 1}]
+        assert not any(mine.path(key).exists() for key in keys)
+        assert (store.hits, store.misses) == (0, 2)
+
+    def test_batch_mixes_plain_and_artefact_results(self, store, boards):
+        from repro.nn import MLP
+
+        mine, _ = boards
+        keys = self._keys(store, 2)
+        network = MLP(2, 1, hidden_sizes=(4,), seed=0)
+
+        def compute(indices):
+            return [({"value": 0}, {"kappa_star": network}) if index == 0 else {"value": 1}
+                    for index in indices]
+
+        outcomes = store.run_cells(keys, compute, claims=mine)
+        assert [o.payload for o in outcomes] == [{"value": 0}, {"value": 1}]
+        reloaded = store.load_network(keys[0], "kappa_star")
+        for name, value in network.state_dict().items():
+            assert reloaded.state_dict()[name].tobytes() == value.tobytes()
+        assert not store.artefact_path(keys[1], "kappa_star.npz").exists()
+
+    def test_compute_returning_the_wrong_count_raises(self, store, boards):
+        mine, _ = boards
+        keys = self._keys(store, 2)
+        with pytest.raises(ValueError, match="1 results for 2 claimed cells"):
+            store.run_cells(keys, lambda indices: [{"value": 0}], claims=mine)
+        assert not any(mine.path(key).exists() for key in keys)
+        assert store.missing(keys) == keys
+
+    def test_empty_batch_computes_nothing(self, store, boards):
+        mine, _ = boards
+        calls = []
+        assert store.run_cells([], self._recording(calls), claims=mine) == []
+        assert calls == [] and (store.hits, store.misses) == (0, 0)
+
 class TestInspection:
     @pytest.fixture
     def populated(self, tmp_path):

@@ -9,7 +9,9 @@ covered automatically:
   one-step images of random sub-boxes land inside the interval image;
 * the default expert pair exists, is named ``kappa1``/``kappa2`` and maps
   batched states to batched controls;
-* the disturbance model's batch sampler matches its bound.
+* the disturbance model's batch sampler matches its bound;
+* a batched rollout of the first expert keeps float64 histories and is
+  byte-reproducible from its seed.
 """
 
 import numpy as np
@@ -139,3 +141,27 @@ class TestScenarioConformance:
     def test_initial_set_inside_safe_region(self, name, bundles):
         _, system = bundles[name]
         assert system.safe_region.contains_box(system.initial_set)
+
+    def test_rollout_is_float64_and_seed_deterministic(self, name, bundles):
+        from repro.systems.simulation import rollout_batch
+
+        _, system = bundles[name]
+        controller = make_default_experts(system)[0]
+        initial_states = system.initial_set.sample(np.random.default_rng(5), count=6)
+
+        def run(states):
+            return rollout_batch(
+                system, controller, states, horizon=20, rng=np.random.default_rng(0)
+            )
+
+        first = run(initial_states)
+        again = run(initial_states.astype(np.float32).astype(np.float64))
+        reduced = run(initial_states.astype(np.float32))
+        for batch in (first, reduced):
+            assert batch.states.dtype == np.float64
+            assert batch.controls.dtype == np.float64
+        for field in ("states", "controls", "energy", "safe", "steps"):
+            assert getattr(again, field).tobytes() == getattr(reduced, field).tobytes(), field
+        rerun = run(initial_states)
+        for field in ("states", "controls", "energy", "safe", "steps"):
+            assert getattr(rerun, field).tobytes() == getattr(first, field).tobytes(), field
