@@ -6,7 +6,9 @@
 # (pytest-cov when installed, a stdlib settrace collector otherwise), with
 # the shard/claim/merge packs in its test list so the coverage floor spans
 # the distributed-coordination code too, and enforces the same floor on
-# src/repro/telemetry and src/repro/jobs via their test packs;
+# src/repro/telemetry, src/repro/jobs, src/repro/rl and src/repro/experts via
+# their test packs (the rl and experts lines put the repo root on PYTHONPATH
+# because tests/test_rl_ddpg.py imports tests.test_rl_ppo);
 # `shard-smoke` runs a real 2-shard matrix against one run directory and
 # merges it back end-to-end, then does the same for a trained, verified
 # pendulum so the train and verify claim paths go through a sharded merge; `watch-smoke` runs two telemetry-emitting
@@ -44,6 +46,11 @@ test-cov:
 		tests/test_service_dedupe.py tests/test_service_faults.py
 	$(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/utils/profiling.py \
 		tests/test_utils_profiling.py
+	PYTHONPATH=.:$(PYTHONPATH) $(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/rl \
+		tests/test_rl_components.py tests/test_rl_ddpg.py tests/test_rl_gae_properties.py \
+		tests/test_rl_policies.py tests/test_rl_ppo.py tests/test_rl_vec_env.py
+	PYTHONPATH=.:$(PYTHONPATH) $(PYTHON) tools/check_coverage.py --floor 80 --target src/repro/experts \
+		tests/test_experts.py tests/test_experts_mpc.py
 
 SHARD_SMOKE_DIR ?= runs/shard-smoke
 shard-smoke:

@@ -17,10 +17,11 @@ the same sign vector.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from repro.attacks.base import BatchPerturbation, attack_rows
 from repro.autodiff import Tensor
 from repro.experts.base import Controller, NeuralController
 from repro.systems.simulation import batch_controls
@@ -112,7 +113,7 @@ def fgsm_perturbation_batch(
     return states + bound * sign
 
 
-class FGSMAttack:
+class FGSMAttack(BatchPerturbation):
     """Evaluation-time FGSM attacker usable as a rollout perturbation.
 
     Parameters
@@ -157,38 +158,24 @@ class FGSMAttack:
             return (self._step % 2) == 0
         return self.maximize_control
 
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rng = get_rng(rng)
-        self._step += 1
-        if self.probability < 1.0 and rng.uniform() > self.probability:
-            return state
-        return fgsm_perturbation(
-            self.controller, state, self.bound, maximize_control=self._direction()
-        )
-
     def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Attack an ``(N, state_dim)`` batch of measurements at one time step.
 
         The step counter (and with it the ``alternate`` direction) advances
         once per *batch* step, so every batch member sees the same attack
-        direction at a given simulation time -- with ``N = 1`` this consumes
-        the random stream exactly like a scalar ``__call__``.
+        direction at a given simulation time.
         """
 
-        rng = get_rng(rng)
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         self._step += 1
-        if self.probability < 1.0:
-            attacked = rng.uniform(size=len(states)) <= self.probability
-            if not np.any(attacked):
-                return states
-            result = states.copy()
-            result[attacked] = fgsm_perturbation_batch(
-                self.controller, states[attacked], self.bound, maximize_control=self._direction()
-            )
-            return result
-        return fgsm_perturbation_batch(
-            self.controller, states, self.bound, maximize_control=self._direction()
+        maximize_control = self._direction()
+        return attack_rows(
+            states,
+            get_rng(rng),
+            self.probability,
+            lambda rows: fgsm_perturbation_batch(
+                self.controller, rows, self.bound, maximize_control=maximize_control
+            ),
         )
 
     def reset(self) -> None:

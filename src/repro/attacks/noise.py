@@ -11,20 +11,17 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.attacks.base import BatchPerturbation
 from repro.utils.seeding import get_rng
 
 
-class UniformMeasurementNoise:
+class UniformMeasurementNoise(BatchPerturbation):
     """Additive uniform noise ``delta ~ U[-bound, bound]`` per component."""
 
     def __init__(self, bound: Union[float, Sequence[float]]):
         self.bound = np.atleast_1d(np.asarray(bound, dtype=np.float64))
         if np.any(self.bound < 0):
             raise ValueError("noise bound must be non-negative")
-
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rng = get_rng(rng)
-        return state + rng.uniform(-self.bound, self.bound, size=state.shape)
 
     def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Perturb an ``(N, state_dim)`` batch with one vectorised draw."""
@@ -37,7 +34,7 @@ class UniformMeasurementNoise:
         return self.bound.copy()
 
 
-class GaussianMeasurementNoise:
+class GaussianMeasurementNoise(BatchPerturbation):
     """Additive Gaussian noise truncated to the perturbation bound.
 
     Not used in the paper's tables but provided for the robustness ablation:
@@ -49,12 +46,6 @@ class GaussianMeasurementNoise:
         if np.any(self.std < 0):
             raise ValueError("noise std must be non-negative")
         self.bound_multiplier = float(bound_multiplier)
-
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rng = get_rng(rng)
-        noise = rng.normal(0.0, self.std, size=state.shape)
-        limit = self.bound_multiplier * self.std
-        return state + np.clip(noise, -limit, limit)
 
     def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Perturb an ``(N, state_dim)`` batch with one vectorised draw."""

@@ -14,6 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.attacks.base import BatchPerturbation, attack_rows
 from repro.attacks.fgsm import ControllerLike, _control_change_gradient_batch
 from repro.utils.seeding import get_rng
 
@@ -67,7 +68,7 @@ def pgd_perturbation_batch(
     return current
 
 
-class PGDAttack:
+class PGDAttack(BatchPerturbation):
     """Evaluation-time PGD attacker usable as a rollout perturbation."""
 
     def __init__(
@@ -88,40 +89,19 @@ class PGDAttack:
         self.step_size_fraction = float(step_size_fraction)
         self.probability = float(probability)
 
-    def __call__(self, state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rng = get_rng(rng)
-        if self.probability < 1.0 and rng.uniform() > self.probability:
-            return state
-        return pgd_perturbation(
-            self.controller,
-            state,
-            self.bound,
-            steps=self.steps,
-            step_size_fraction=self.step_size_fraction,
-        )
-
     def perturb_batch(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Attack an ``(N, state_dim)`` batch of measurements at one time step."""
 
-        rng = get_rng(rng)
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if self.probability < 1.0:
-            attacked = rng.uniform(size=len(states)) <= self.probability
-            if not np.any(attacked):
-                return states
-            result = states.copy()
-            result[attacked] = pgd_perturbation_batch(
+        return attack_rows(
+            states,
+            get_rng(rng),
+            self.probability,
+            lambda rows: pgd_perturbation_batch(
                 self.controller,
-                states[attacked],
+                rows,
                 self.bound,
                 steps=self.steps,
                 step_size_fraction=self.step_size_fraction,
-            )
-            return result
-        return pgd_perturbation_batch(
-            self.controller,
-            states,
-            self.bound,
-            steps=self.steps,
-            step_size_fraction=self.step_size_fraction,
+            ),
         )

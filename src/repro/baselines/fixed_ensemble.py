@@ -16,11 +16,16 @@ from repro.core.config import DistillationConfig
 from repro.core.distillation import DirectDistiller, collect_distillation_dataset
 from repro.experts.base import Controller, NeuralController
 from repro.systems.base import ControlSystem
+from repro.systems.simulation import weighted_expert_controls
 from repro.utils.seeding import RngLike
 
 
 class FixedWeightEnsemble(Controller):
-    """Static convex combination of experts: ``u = clip(sum w_i kappa_i(s))``."""
+    """Static convex combination of experts: ``u = clip(sum w_i kappa_i(s))``.
+
+    With the default equal weights this is the uniform mixture, the
+    no-learning reference for the adaptive mixer.
+    """
 
     name = "fixed-ensemble"
 
@@ -39,10 +44,12 @@ class FixedWeightEnsemble(Controller):
         self.weights = weights
 
     def control(self, state: np.ndarray) -> np.ndarray:
-        control = np.zeros(self.system.control_dim)
-        for weight, expert in zip(self.weights, self.experts):
-            control = control + weight * np.atleast_1d(expert(state))
-        return self.system.clip_control(control)
+        """Eq. (4) with constant weights: a one-row call of the mixing kernel, then ``U``'s clip."""
+
+        controls = weighted_expert_controls(
+            self.experts, self.weights[None, :], np.reshape(state, (1, -1)), self.system.control_dim
+        )
+        return self.system.clip_control_batch(controls)[0]
 
 
 def distill_fixed_ensemble(

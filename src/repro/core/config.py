@@ -31,7 +31,7 @@ class MixingConfig:
     epochs: int = 30
     steps_per_epoch: int = 2048
     #: Parallel mixing environments advanced in lockstep during PPO rollout
-    #: collection (the :class:`repro.rl.env.VecMixingEnv` width).  ``1`` is
+    #: collection (the :class:`repro.rl.env.VecControlEnv` width).  ``1`` is
     #: the scalar path, bit-identical to the historical per-step loop for
     #: the same seed; DDPG ignores this (its collection stays scalar).
     num_envs: int = 1

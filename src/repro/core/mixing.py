@@ -14,14 +14,14 @@ teacher of the distillation step.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.config import MixingConfig
 from repro.experts.base import Controller
 from repro.rl.ddpg import DDPGConfig, DDPGTrainer
-from repro.rl.env import ControlEnv, RewardFunction, VecMixingEnv
+from repro.rl.env import ControlEnv, RewardFunction
 from repro.rl.policies import DeterministicMLPPolicy, GaussianMLPPolicy
 from repro.rl.ppo import PPOTrainer
 from repro.rl.spaces import BoxSpace
@@ -60,19 +60,21 @@ class AdaptiveMixingEnv(ControlEnv):
     def build_action_space(self) -> BoxSpace:
         return BoxSpace(-self.weight_bounds, self.weight_bounds)
 
+    def action_to_control_batch(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Eq. (4), batched: the weighted sum of the experts' controls.
+
+        The weights are clipped to ``[-AB_i, AB_i]``; the command is left
+        unclipped, since every environment step clips it to ``U``.
+        """
+
+        weights = np.clip(np.atleast_2d(actions), -self.weight_bounds, self.weight_bounds)
+        return weighted_expert_controls(self.experts, weights, states, self.system.control_dim)
+
     def action_to_control(self, action: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """Eq. (4): clipped weighted sum of the experts' control inputs."""
+        """Eq. (4) for one state: the clipped batch-of-one of :meth:`action_to_control_batch`."""
 
-        weights = np.clip(np.atleast_1d(action), -self.weight_bounds, self.weight_bounds)
-        control = np.zeros(self.system.control_dim)
-        for weight, expert in zip(weights, self.experts):
-            control = control + weight * np.atleast_1d(expert(state))
-        return self.system.clip_control(control)
-
-    def vectorized(self, num_envs: int) -> VecMixingEnv:
-        """The ``N``-environment lockstep mixing environment (same MDP)."""
-
-        return VecMixingEnv(self, num_envs, self.experts, self.weight_bounds)
+        controls = self.action_to_control_batch(np.reshape(action, (1, -1)), np.reshape(state, (1, -1)))
+        return self.system.clip_control_batch(controls)[0]
 
 
 class MixedController(Controller):
@@ -100,18 +102,7 @@ class MixedController(Controller):
     def weights(self, state: np.ndarray) -> np.ndarray:
         """The dynamically-assigned expert weights for one state."""
 
-        if isinstance(self.policy, GaussianMLPPolicy):
-            raw = self.policy.mean_action(state)
-        else:
-            raw = self.policy.act(state, noise_scale=0.0)
-        return np.clip(np.atleast_1d(raw), -self.weight_bounds, self.weight_bounds)
-
-    def control(self, state: np.ndarray) -> np.ndarray:
-        weights = self.weights(state)
-        control = np.zeros(self.system.control_dim)
-        for weight, expert in zip(weights, self.experts):
-            control = control + weight * np.atleast_1d(expert(state))
-        return self.system.clip_control(control)
+        return self.weights_batch(np.reshape(state, (1, -1)))[0]
 
     def weights_batch(self, states: np.ndarray) -> np.ndarray:
         """Dynamically-assigned weights for an ``(N, state_dim)`` batch."""
@@ -127,9 +118,7 @@ class MixedController(Controller):
         """Vectorised teacher evaluation: one policy forward pass and one
         batched query per expert for a whole ``(N, state_dim)`` batch.
 
-        Row ``i`` equals :meth:`control` on ``states[i]`` (the distillation
-        and evaluation harnesses rely on the batch-of-one case being
-        bit-identical to the scalar call).
+        :meth:`control` is its batch-of-one.
         """
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -267,24 +256,3 @@ class MixingTrainer:
     def logger(self) -> Optional[TrainingLogger]:
         return getattr(self._trainer, "logger", None)
 
-
-def uniform_mixture(system: ControlSystem, experts: Sequence[Controller], name: str = "uniform-mixture") -> Controller:
-    """Fixed equal-weight ensemble of the experts (a no-learning reference).
-
-    Corresponds to the pre-determined-weight ensembles in the distillation
-    literature the paper contrasts against; used by the ablation benchmark.
-    """
-
-    experts = list(experts)
-    weight = 1.0 / len(experts)
-
-    class _Uniform(Controller):
-        def control(self, state: np.ndarray) -> np.ndarray:
-            control = np.zeros(system.control_dim)
-            for expert in experts:
-                control = control + weight * np.atleast_1d(expert(state))
-            return system.clip_control(control)
-
-    mixture = _Uniform()
-    mixture.name = name
-    return mixture

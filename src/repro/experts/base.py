@@ -18,13 +18,26 @@ from repro.utils.seeding import RngLike, get_rng
 
 
 class Controller:
-    """Base controller: callable mapping a state vector to a control vector."""
+    """Base controller: callable mapping a state vector to a control vector.
+
+    Sub-classes with an array formula implement :meth:`batch_control` over
+    ``(N, state_dim)`` batches; :meth:`control` is its batch-of-one, so the
+    scalar and batched commands cannot drift apart.  A scalar-only
+    controller implements :meth:`control` instead, and the base
+    :meth:`batch_control` loops it over rows.
+    """
 
     #: Human-readable name used in result tables.
     name: str = "controller"
 
-    def control(self, state: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def control(self, state: np.ndarray) -> np.ndarray:
+        """The command for one state: row 0 of :meth:`batch_control`."""
+
+        if type(self).batch_control is Controller.batch_control:
+            raise NotImplementedError(
+                f"{type(self).__name__} must implement batch_control (or control)"
+            )
+        return self.batch_control(np.reshape(state, (1, -1)))[0]
 
     def __call__(self, state: Sequence[float]) -> np.ndarray:
         state = np.asarray(state, dtype=np.float64)
@@ -34,7 +47,7 @@ class Controller:
         """Clear any internal state (stateful controllers such as PID)."""
 
     def batch_control(self, states: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation, default loops over rows."""
+        """Vectorised evaluation; this default loops :meth:`control` over rows."""
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         return np.stack([self(state) for state in states], axis=0)
@@ -60,9 +73,6 @@ class LinearStateFeedback(Controller):
             np.zeros(self.gain.shape[0]) if offset is None else np.asarray(offset, dtype=np.float64)
         )
         self.name = name
-
-    def control(self, state: np.ndarray) -> np.ndarray:
-        return -self.gain @ state + self.offset
 
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -98,12 +108,6 @@ class NeuralController(Controller):
             self.output_high = None
             self._scale = None
             self._offset = None
-
-    def control(self, state: np.ndarray) -> np.ndarray:
-        output = np.atleast_1d(self.network.predict(state))
-        if self._scale is not None:
-            output = output * self._scale + self._offset
-        return output
 
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))

@@ -62,13 +62,6 @@ class PendulumFeedbackLinearization(Controller):
         self.gravity = float(gravity)
         self.name = name
 
-    def control(self, state: np.ndarray) -> np.ndarray:
-        theta, omega = state
-        inertia = self.mass * self.length**2
-        cancel = -(self.gravity / self.length) * np.sin(theta)
-        stabilise = -self.k1 * theta - self.k2 * omega
-        return np.array([inertia * (cancel + stabilise)])
-
     def batch_control(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         theta = states[:, 0]

@@ -18,6 +18,7 @@ from repro.experts.lqr import LQRController
 from repro.experts.polynomial import PolynomialController
 from repro.nn.lipschitz import empirical_lipschitz, network_lipschitz
 from repro.systems.base import ControlSystem
+from repro.systems.simulation import batch_controls
 
 
 def controller_lipschitz(controller: Controller, system: Optional[ControlSystem] = None) -> Optional[float]:
@@ -61,9 +62,6 @@ def _sampled_lipschitz(controller: Controller, system: ControlSystem, samples: i
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     directions /= norms
-    best = 0.0
-    for point, direction in zip(points, directions):
-        base = np.atleast_1d(controller(point))
-        moved = np.atleast_1d(controller(point + epsilon * direction))
-        best = max(best, float(np.linalg.norm(moved - base) / epsilon))
-    return best
+    base = batch_controls(controller, points)
+    moved = batch_controls(controller, points + epsilon * directions)
+    return float(np.max(np.linalg.norm(moved - base, axis=1) / epsilon, initial=0.0))

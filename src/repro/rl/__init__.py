@@ -8,7 +8,7 @@ is available offline, so this package implements both algorithms on top of
 """
 
 from repro.rl.spaces import BoxSpace, DiscreteSpace
-from repro.rl.env import ControlEnv, RewardFunction, VecControlEnv, VecMixingEnv
+from repro.rl.env import ControlEnv, RewardFunction, VecControlEnv
 from repro.rl.buffers import ReplayBuffer, RolloutBuffer
 from repro.rl.gae import compute_gae, compute_gae_batch, discounted_returns
 from repro.rl.policies import (
@@ -27,7 +27,6 @@ __all__ = [
     "ControlEnv",
     "RewardFunction",
     "VecControlEnv",
-    "VecMixingEnv",
     "RolloutBuffer",
     "ReplayBuffer",
     "compute_gae",

@@ -9,20 +9,19 @@ function of the applied control energy:
 * :class:`ControlEnv` -- the scalar environment (``reset() -> obs``,
   ``step(a) -> (obs, r, done, info)``), stepping one plant state at a time.
 * :class:`VecControlEnv` -- ``N`` simultaneous copies of the same MDP
-  advanced in lockstep on the plant's batched primitives
-  (``step_batch``/``is_safe_batch``), with per-environment auto-reset: a
-  member whose episode ends is immediately re-seeded from ``X0`` and its
-  fresh observation returned in the same step.  With ``num_envs = 1`` the
-  random stream consumption and every emitted array are bit-identical to
-  the scalar environment driven by the historical collection loop.
+  advanced in lockstep, with per-environment auto-reset: a member whose
+  episode ends is immediately re-seeded from ``X0`` and its fresh
+  observation returned in the same step.  With ``num_envs = 1`` the random
+  stream consumption and every emitted array are bit-identical to the
+  scalar environment driven by the historical collection loop.
 
-:class:`VecMixingEnv` is the vectorised adaptive-mixing environment (the
-action is the expert weight vector, Eq. (4)); the scalar counterpart
-:class:`repro.core.mixing.AdaptiveMixingEnv` builds it via
-:meth:`ControlEnv.vectorized`.  Scalar environments that override
-:meth:`ControlEnv.action_to_control` without providing a vectorised
-environment still vectorize correctly -- :class:`VecControlEnv` falls back
-to applying the template's per-row hook.
+Both compute a transition with one method, :meth:`ControlEnv.transition`, on
+the plant's batched primitives (``clip_control_batch``/``step_batch``/
+``is_safe_batch``) and :meth:`RewardFunction.batch`; the scalar environment
+runs it on one row.  The action-to-control map is the environment's
+``action_to_control_batch`` hook when it defines one (the adaptive-mixing
+environment does, Eq. (4)); environments that only override the per-row
+:meth:`ControlEnv.action_to_control` hook run it row by row.
 
 The same scalar wrapper trains the DDPG experts (action = control input),
 while the adaptive-mixing and switching environments in
@@ -33,17 +32,13 @@ and override :meth:`ControlEnv.action_to_control`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.rl.spaces import BoxSpace
 from repro.systems.base import ControlSystem
-from repro.systems.simulation import (
-    PerturbationFn,
-    _perturbation_batch,
-    weighted_expert_controls,
-)
+from repro.systems.simulation import PerturbationFn, _perturbation_batch
 from repro.utils.seeding import RngLike, get_rng
 
 
@@ -64,18 +59,10 @@ class RewardFunction:
     survival_bonus: float = 1.0
     state_weight: float = 0.0
 
-    def __call__(self, state: np.ndarray, control: np.ndarray, next_state: np.ndarray, safe: bool) -> float:
-        if not safe:
-            return float(self.punishment)
-        energy = float(np.sum(np.abs(control)))
-        state_cost = float(np.sum(np.asarray(next_state) ** 2)) if self.state_weight else 0.0
-        return float(self.survival_bonus - self.energy_weight * energy - self.state_weight * state_cost)
-
     def batch(
         self, states: np.ndarray, controls: np.ndarray, next_states: np.ndarray, safe: np.ndarray
     ) -> np.ndarray:
-        """Vectorised reward over ``(N, ...)`` batches; row ``i`` equals
-        ``self(states[i], controls[i], next_states[i], safe[i])`` bit for bit."""
+        """The reward of each row of ``(N, ...)`` transition batches, shape ``(N,)``."""
 
         energy = np.sum(np.abs(np.atleast_2d(controls)), axis=1)
         if self.state_weight:
@@ -84,6 +71,16 @@ class RewardFunction:
             state_cost = np.zeros_like(energy)
         rewards = self.survival_bonus - self.energy_weight * energy - self.state_weight * state_cost
         return np.where(np.asarray(safe, dtype=bool), rewards, float(self.punishment))
+
+
+def _observe(
+    perturbation: Optional[PerturbationFn], states: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """What the agent sees of an ``(N, state_dim)`` batch of true states."""
+
+    if perturbation is None:
+        return states.copy()
+    return _perturbation_batch(perturbation, states, rng)
 
 
 class ControlEnv:
@@ -118,6 +115,40 @@ class ControlEnv:
 
         return np.atleast_1d(np.asarray(action, dtype=np.float64))
 
+    def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Map ``(N, action_dim)`` agent actions to raw plant controls.
+
+        Uses the ``action_to_control_batch`` hook when the environment
+        defines one, and otherwise loops the per-row
+        :meth:`action_to_control` hook -- so any scalar subclass vectorizes
+        correctly out of the box.
+        """
+
+        batch = getattr(self, "action_to_control_batch", None)
+        if batch is not None:
+            return np.atleast_2d(np.asarray(batch(actions, states), dtype=np.float64))
+        return np.stack(
+            [
+                np.atleast_1d(self.action_to_control(action, state))
+                for action, state in zip(np.atleast_2d(actions), states)
+            ],
+            axis=0,
+        )
+
+    def transition(
+        self, states: np.ndarray, actions: np.ndarray, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The MDP transition of an ``(N, ...)`` batch of states and actions.
+
+        Returns the applied (clipped) ``controls``, the true
+        ``next_states``, the per-row ``safe`` mask and the ``rewards``.
+        """
+
+        controls = self.system.clip_control_batch(self.actions_to_controls(actions, states))
+        next_states = self.system.step_batch(states, controls, rng=rng)
+        safe = self.system.is_safe_batch(next_states)
+        return controls, next_states, safe, self.reward.batch(states, controls, next_states, safe)
+
     # -- gym API ----------------------------------------------------------------
     def seed(self, seed: int) -> None:
         self._rng = get_rng(seed)
@@ -127,44 +158,37 @@ class ControlEnv:
             initial_state = self.system.sample_initial_state(self._rng)
         self._state = np.asarray(initial_state, dtype=np.float64).copy()
         self._steps = 0
-        return self._observe(self._state)
+        return _observe(self.perturbation, self._state[None, :], self._rng)[0]
 
     def step(self, action: np.ndarray) -> Tuple[np.ndarray, float, bool, dict]:
+        """One transition: :meth:`transition` on one row.
+
+        There is no auto-reset: after ``done`` the caller resets.
+        """
+
         if self._state is None:
             raise RuntimeError("step() called before reset()")
-        state = self._state
-        control = self.system.clip_control(self.action_to_control(np.asarray(action, dtype=np.float64), state))
-        next_state = self.system.step(state, control, rng=self._rng)
-        safe = self.system.is_safe(next_state)
-        reward = self.reward(state, control, next_state, safe)
+        actions = np.asarray(action, dtype=np.float64).reshape(1, -1)
+        controls, next_states, safe, rewards = self.transition(self._state[None, :], actions, self._rng)
         self._steps += 1
-        done = (not safe) or self._steps >= self.horizon
+        next_state = next_states[0]
+        done = (not safe[0]) or self._steps >= self.horizon
         self._state = next_state
         info = {
-            "safe": safe,
-            "control": control,
+            "safe": bool(safe[0]),
+            "control": controls[0],
             "steps": self._steps,
             "true_state": next_state.copy(),
         }
-        return self._observe(next_state), float(reward), bool(done), info
-
-    # -- helpers ---------------------------------------------------------------
-    def _observe(self, state: np.ndarray) -> np.ndarray:
-        if self.perturbation is None:
-            return state.copy()
-        return np.asarray(self.perturbation(state.copy(), self._rng), dtype=np.float64)
+        observation = _observe(self.perturbation, next_states, self._rng)[0]
+        return observation, float(rewards[0]), bool(done), info
 
     def vectorized(self, num_envs: int) -> "VecControlEnv":
         """Build the ``N``-environment lockstep version of this environment.
 
         The vectorised environment shares this environment's random
-        generator, so with ``num_envs = 1`` the returned environment
-        consumes the stream exactly like this one.  Subclasses with a
-        dedicated vectorised counterpart override this (e.g. the adaptive
-        mixing environment returns a :class:`VecMixingEnv`); the default
-        :class:`VecControlEnv` applies this environment's per-row
-        :meth:`action_to_control` hook, so overriding subclasses vectorize
-        correctly either way.
+        generator and its :meth:`actions_to_controls` map, so with
+        ``num_envs = 1`` it consumes the stream exactly like this one.
         """
 
         return VecControlEnv(self, num_envs)
@@ -218,37 +242,12 @@ class VecControlEnv:
         self._states: Optional[np.ndarray] = None
         self._steps = np.zeros(self.num_envs, dtype=int)
 
-    # -- hooks ---------------------------------------------------------------
-    def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Map ``(N, action_dim)`` agent actions to raw plant controls.
-
-        Uses the template's ``action_to_control_batch`` when it provides
-        one, falling back to its per-row :meth:`ControlEnv.action_to_control`
-        hook -- so any scalar subclass vectorizes correctly out of the box.
-        """
-
-        batch = getattr(self.template, "action_to_control_batch", None)
-        if batch is not None:
-            return np.atleast_2d(np.asarray(batch(actions, states), dtype=np.float64))
-        return np.stack(
-            [
-                np.atleast_1d(self.template.action_to_control(action, state))
-                for action, state in zip(np.atleast_2d(actions), states)
-            ],
-            axis=0,
-        )
-
     # -- vectorized gym API ----------------------------------------------------
     def seed(self, seed: int) -> None:
         self._rng = get_rng(seed)
 
     def _sample_initial_states(self, count: int) -> np.ndarray:
         return np.atleast_2d(self.system.initial_set.sample(self._rng, count=count))
-
-    def _observe(self, states: np.ndarray) -> np.ndarray:
-        if self.perturbation is None:
-            return states.copy()
-        return _perturbation_batch(self.perturbation, states, self._rng)
 
     def reset(self, initial_states: Optional[np.ndarray] = None) -> np.ndarray:
         if initial_states is None:
@@ -261,7 +260,7 @@ class VecControlEnv:
             )
         self._states = states
         self._steps = np.zeros(self.num_envs, dtype=int)
-        return self._observe(self._states)
+        return _observe(self.perturbation, self._states, self._rng)
 
     def step(self, actions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         if self._states is None:
@@ -276,14 +275,11 @@ class VecControlEnv:
             raise ValueError(
                 f"actions have shape {actions.shape}, expected ({self.num_envs}, action_dim)"
             )
-        controls = self.system.clip_control_batch(self.actions_to_controls(actions, states))
-        next_states = self.system.step_batch(states, controls, rng=self._rng)
-        safe = self.system.is_safe_batch(next_states)
-        rewards = self.reward.batch(states, controls, next_states, safe)
+        controls, next_states, safe, rewards = self.template.transition(states, actions, self._rng)
         self._steps += 1
         dones = (~safe) | (self._steps >= self.horizon)
 
-        observations = self._observe(next_states)
+        observations = _observe(self.perturbation, next_states, self._rng)
         info = {
             "safe": safe,
             "controls": controls,
@@ -297,7 +293,7 @@ class VecControlEnv:
             fresh = self._sample_initial_states(done_index.size)
             self._states[done_index] = fresh
             self._steps[done_index] = 0
-            observations[done_index] = self._observe(fresh)
+            observations[done_index] = _observe(self.perturbation, fresh, self._rng)
         return observations, rewards, dones, info
 
     @property
@@ -308,40 +304,3 @@ class VecControlEnv:
     def action_dim(self) -> int:
         return self.action_space.dimension
 
-
-class VecMixingEnv(VecControlEnv):
-    """Vectorised adaptive-mixing environment (Section III-A, Eq. (4)).
-
-    The action is the ``(N, num_experts)`` weight matrix; the control
-    applied to each plant copy is the clipped weighted sum of the experts'
-    batched control outputs.  The scalar counterpart is
-    :class:`repro.core.mixing.AdaptiveMixingEnv`, whose ``vectorized``
-    method builds this class; the expert evaluation goes through
-    :func:`repro.systems.simulation.batch_controls`, so experts exposing a
-    vectorised ``batch_control`` run at array speed and the rest fall back
-    per row.
-    """
-
-    def __init__(
-        self,
-        template: ControlEnv,
-        num_envs: int,
-        experts: Sequence[Callable],
-        weight_bounds: Union[float, Sequence[float]],
-    ):
-        super().__init__(template, num_envs)
-        self.experts = list(experts)
-        if len(self.experts) < 2:
-            raise ValueError("adaptive mixing requires at least two experts")
-        bounds = np.atleast_1d(np.asarray(weight_bounds, dtype=np.float64))
-        if bounds.size == 1:
-            bounds = np.full(len(self.experts), float(bounds[0]))
-        if bounds.size != len(self.experts):
-            raise ValueError("weight_bounds must be scalar or one value per expert")
-        self.weight_bounds = bounds
-
-    def actions_to_controls(self, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Eq. (4), batched: weighted sum of the experts' controls."""
-
-        weights = np.clip(np.atleast_2d(actions), -self.weight_bounds, self.weight_bounds)
-        return weighted_expert_controls(self.experts, weights, states, self.system.control_dim)

@@ -10,6 +10,10 @@ All networks are thin wrappers around :class:`repro.nn.MLP`:
   by DDPG (the expert controllers).
 * :class:`ValueNetwork` / :class:`QNetwork` -- state-value and state-action
   critics.
+
+Each array formula is written once, over ``(N, state_dim)`` batches; the
+one-state calls (``act``, ``mean_action``, ``probabilities``, ``value``)
+are its batch-of-one.
 """
 
 from __future__ import annotations
@@ -63,30 +67,21 @@ class GaussianMLPPolicy(Module):
 
     # -- array-only calls (rollouts) ---------------------------------------------
     def act(self, state: np.ndarray, rng: RngLike = None, deterministic: bool = False) -> Tuple[np.ndarray, float]:
-        """Sample a clipped action and return it with its log probability."""
+        """Sample a clipped action and return it with its log probability.
 
-        generator = get_rng(rng)
-        mean = self.mean_net.predict(np.asarray(state, dtype=np.float64))
-        std = np.exp(self.log_std.data)
-        if deterministic:
-            action = mean
-        else:
-            action = mean + std * generator.normal(size=self.action_dim)
-        log_prob = float(
-            np.sum(-0.5 * ((action - mean) / std) ** 2 - np.log(std) - 0.5 * np.log(2.0 * np.pi))
-        )
-        return np.clip(action, self.action_low, self.action_high), log_prob
+        The batch-of-one of :meth:`act_batch`.
+        """
+
+        actions, log_probs = self.act_batch(np.reshape(state, (1, -1)), rng=rng, deterministic=deterministic)
+        return actions[0], float(log_probs[0])
 
     def act_batch(
         self, states: np.ndarray, rng: RngLike = None, deterministic: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample one clipped action per row of ``states``.
 
-        The vectorised counterpart of :meth:`act`: one ``(N, state_dim)``
-        forward pass and one ``(N, action_dim)`` noise draw.  With ``N = 1``
-        it consumes the generator stream exactly like a single :meth:`act`
-        call and returns the same action/log-probability bit for bit.
-        Returns ``(actions (N, action_dim), log_probs (N,))``.
+        One ``(N, state_dim)`` forward pass and one ``(N, action_dim)``
+        noise draw.  Returns ``(actions (N, action_dim), log_probs (N,))``.
         """
 
         generator = get_rng(rng)
@@ -104,8 +99,7 @@ class GaussianMLPPolicy(Module):
         return np.clip(actions, self.action_low, self.action_high), log_probs
 
     def mean_action(self, state: np.ndarray) -> np.ndarray:
-        mean = self.mean_net.predict(np.asarray(state, dtype=np.float64))
-        return np.clip(mean, self.action_low, self.action_high)
+        return self.mean_actions(np.reshape(state, (1, -1)))[0]
 
     def mean_actions(self, states: np.ndarray) -> np.ndarray:
         """Deterministic (mean) actions for an ``(N, state_dim)`` batch."""
@@ -149,48 +143,44 @@ class CategoricalMLPPolicy(Module):
         return log_probs[rows, actions]
 
     def act(self, state: np.ndarray, rng: RngLike = None, deterministic: bool = False) -> Tuple[int, float]:
-        generator = get_rng(rng)
-        logits = self.logits_net.predict(np.asarray(state, dtype=np.float64))
-        logits = logits - np.max(logits)
-        probabilities = np.exp(logits)
-        probabilities /= probabilities.sum()
-        if deterministic:
-            action = int(np.argmax(probabilities))
-        else:
-            action = int(generator.choice(self.num_actions, p=probabilities))
-        return action, float(np.log(probabilities[action] + 1e-12))
+        """The batch-of-one of :meth:`act_batch`."""
+
+        actions, log_probs = self.act_batch(np.reshape(state, (1, -1)), rng=rng, deterministic=deterministic)
+        return int(actions[0]), float(log_probs[0])
 
     def act_batch(
         self, states: np.ndarray, rng: RngLike = None, deterministic: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample one action per row of ``states``.
 
-        Returns ``(actions (N,) int, log_probs (N,))``.  With ``N = 1`` the
-        generator stream and the sampled action match a single :meth:`act`
-        call (one ``choice`` draw per row, in row order).
+        Returns ``(actions (N,) int, log_probs (N,))``, with one ``choice``
+        draw per row, in row order.
         """
 
         generator = get_rng(rng)
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        logits = np.atleast_2d(self.logits_net.predict(states))
-        logits = logits - np.max(logits, axis=1, keepdims=True)
-        probabilities = np.exp(logits)
-        probabilities /= probabilities.sum(axis=1, keepdims=True)
+        probabilities = self._probabilities_batch(states)
         if deterministic:
             actions = np.argmax(probabilities, axis=1)
         else:
             actions = np.array(
                 [int(generator.choice(self.num_actions, p=row)) for row in probabilities]
             )
-        rows = np.arange(len(states))
+        rows = np.arange(len(probabilities))
         log_probs = np.log(probabilities[rows, actions] + 1e-12)
         return actions, log_probs
 
     def probabilities(self, state: np.ndarray) -> np.ndarray:
-        logits = self.logits_net.predict(np.asarray(state, dtype=np.float64))
-        logits = logits - np.max(logits)
-        exp = np.exp(logits)
-        return exp / exp.sum()
+        return self._probabilities_batch(np.reshape(state, (1, -1)))[0]
+
+    def _probabilities_batch(self, states: np.ndarray) -> np.ndarray:
+        """Softmax action probabilities for an ``(N, state_dim)`` batch."""
+
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        logits = np.atleast_2d(self.logits_net.predict(states))
+        logits = logits - np.max(logits, axis=1, keepdims=True)
+        probabilities = np.exp(logits)
+        probabilities /= probabilities.sum(axis=1, keepdims=True)
+        return probabilities
 
 
 class DeterministicMLPPolicy(Module):
@@ -226,10 +216,9 @@ class DeterministicMLPPolicy(Module):
         return squashed * Tensor(self._scale) + Tensor(self._offset)
 
     def act(self, state: np.ndarray, noise_scale: float = 0.0, rng: RngLike = None) -> np.ndarray:
-        action = self.net.predict(np.asarray(state, dtype=np.float64)) * self._scale + self._offset
-        if noise_scale > 0.0:
-            action = action + noise_scale * self._scale * get_rng(rng).normal(size=self.action_dim)
-        return np.clip(action, self.action_low, self.action_high)
+        """The batch-of-one of :meth:`act_batch`."""
+
+        return self.act_batch(np.reshape(state, (1, -1)), noise_scale=noise_scale, rng=rng)[0]
 
     def act_batch(self, states: np.ndarray, noise_scale: float = 0.0, rng: RngLike = None) -> np.ndarray:
         """Deterministic actions for an ``(N, state_dim)`` batch (optional
@@ -254,7 +243,7 @@ class ValueNetwork(Module):
         return self.net(states)
 
     def value(self, state: np.ndarray) -> float:
-        return float(np.atleast_1d(self.net.predict(np.asarray(state, dtype=np.float64)))[0])
+        return float(self.values(np.reshape(state, (1, -1)))[0])
 
     def values(self, states: np.ndarray) -> np.ndarray:
         return self.net.predict(np.atleast_2d(np.asarray(states, dtype=np.float64)))[:, 0]

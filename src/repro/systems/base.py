@@ -31,7 +31,10 @@ class ControlSystem:
     -- and define the sets/box bounds in ``__init__``.  :meth:`dynamics` is
     its batch-of-one, so the scalar and batched updates cannot drift apart.
     A plant that only writes a scalar :meth:`dynamics` still works: the
-    base :meth:`dynamics_batch` loops over rows.
+    base :meth:`dynamics_batch` loops over rows.  The same rule holds one
+    layer up: :meth:`step`, :meth:`clip_control` and :meth:`is_safe` are the
+    batch-of-one of :meth:`step_batch`, :meth:`clip_control_batch` and
+    :meth:`is_safe_batch`.
 
     Attributes
     ----------
@@ -126,15 +129,20 @@ class ControlSystem:
     # ------------------------------------------------------------------
     # Common behaviour
     # ------------------------------------------------------------------
-    def clip_control(self, control: Union[float, Sequence[float]]) -> np.ndarray:
-        """Clip a raw control command to the admissible box ``U``."""
+    def _control_row(self, control: Union[float, Sequence[float]]) -> np.ndarray:
+        """One raw control command as a checked ``(1, control_dim)`` batch."""
 
         control = np.atleast_1d(np.asarray(control, dtype=np.float64))
         if control.size != self.control_dim:
             raise ValueError(
                 f"control has dimension {control.size}, expected {self.control_dim}"
             )
-        return self.control_bound.clip(control)
+        return control.reshape(1, -1)
+
+    def clip_control(self, control: Union[float, Sequence[float]]) -> np.ndarray:
+        """Clip a raw control command to the admissible box ``U``."""
+
+        return self.clip_control_batch(self._control_row(control))[0]
 
     def step(
         self,
@@ -147,16 +155,17 @@ class ControlSystem:
 
         ``disturbance`` overrides random sampling when provided (used by the
         verification code, which enumerates disturbance extremes instead).
+        The batch-of-one of :meth:`step_batch`.
         """
 
         state = np.asarray(state, dtype=np.float64)
         if state.shape != (self.state_dim,):
             raise ValueError(f"state has shape {state.shape}, expected ({self.state_dim},)")
-        clipped = self.clip_control(control)
-        if disturbance is None:
-            disturbance = self.disturbance.sample(get_rng(rng))
-        disturbance = np.atleast_1d(np.asarray(disturbance, dtype=np.float64))
-        return self.dynamics(state, clipped, disturbance)
+        if disturbance is not None:
+            disturbance = np.reshape(np.asarray(disturbance, dtype=np.float64), (1, -1))
+        return self.step_batch(
+            state[None, :], self._control_row(control), rng=rng, disturbances=disturbance
+        )[0]
 
     def clip_control_batch(self, controls: np.ndarray) -> np.ndarray:
         """Clip a ``(N, control_dim)`` batch of raw commands to ``U``."""
@@ -177,11 +186,9 @@ class ControlSystem:
     ) -> np.ndarray:
         """Advance a ``(N, state_dim)`` batch of plants by one period.
 
-        The vectorised counterpart of :meth:`step`: controls are clipped, one
-        disturbance is sampled per batch member (unless ``disturbances``
-        overrides the sampling) and :meth:`dynamics_batch` produces the next
-        states.  With ``N = 1`` this consumes the generator stream exactly
-        like a single :meth:`step` call.
+        Controls are clipped, one disturbance is sampled per batch member
+        (unless ``disturbances`` overrides the sampling) and
+        :meth:`dynamics_batch` produces the next states.
         """
 
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -196,7 +203,7 @@ class ControlSystem:
     def is_safe(self, state: Sequence[float]) -> bool:
         """Whether ``state`` lies inside the safe region ``X``."""
 
-        return self.safe_region.contains(state)
+        return bool(self.is_safe_batch(np.reshape(state, (1, -1)))[0])
 
     def is_safe_batch(self, states: np.ndarray) -> np.ndarray:
         """Per-row safety mask for a ``(N, state_dim)`` batch of states."""

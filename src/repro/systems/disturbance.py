@@ -18,19 +18,28 @@ from repro.utils.seeding import RngLike, get_rng
 
 
 class DisturbanceModel:
-    """Interface: produce a disturbance vector per step and report its bound."""
+    """Interface: produce a disturbance vector per step and report its bound.
+
+    Models implement :meth:`sample_batch` as one vectorised draw;
+    :meth:`sample` is its batch-of-one.  A scalar-only model implements
+    :meth:`sample` instead, and the base :meth:`sample_batch` loops it.
+    """
 
     dimension: int = 1
 
-    def sample(self, rng: RngLike = None) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def sample(self, rng: RngLike = None) -> np.ndarray:
+        """One disturbance vector: row 0 of :meth:`sample_batch`."""
+
+        if type(self).sample_batch is DisturbanceModel.sample_batch:
+            raise NotImplementedError(
+                f"{type(self).__name__} must implement sample_batch (or sample)"
+            )
+        return self.sample_batch(rng, count=1)[0]
 
     def sample_batch(self, rng: RngLike = None, count: int = 1) -> np.ndarray:
         """Sample ``count`` independent disturbances, shape ``(count, dim)``.
 
-        The default loops over :meth:`sample`; concrete models override it
-        with a single vectorised draw so the batched rollout engine consumes
-        the generator stream identically to ``count`` scalar draws.
+        This default loops over :meth:`sample`.
         """
 
         generator = get_rng(rng)
@@ -47,9 +56,6 @@ class NoDisturbance(DisturbanceModel):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-
-    def sample(self, rng: RngLike = None) -> np.ndarray:
-        return np.zeros(self.dimension)
 
     def sample_batch(self, rng: RngLike = None, count: int = 1) -> np.ndarray:
         return np.zeros((count, self.dimension))
@@ -68,9 +74,6 @@ class UniformDisturbance(DisturbanceModel):
             box = Box(low, high)
         self._box = box
         self.dimension = box.dimension
-
-    def sample(self, rng: RngLike = None) -> np.ndarray:
-        return self._box.sample(get_rng(rng))
 
     def sample_batch(self, rng: RngLike = None, count: int = 1) -> np.ndarray:
         return self._box.sample(get_rng(rng), count=count)

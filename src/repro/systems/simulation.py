@@ -186,10 +186,12 @@ def weighted_expert_controls(
 
     ``weights`` has shape ``(N, len(experts))``; the result is the unclipped
     ``(N, control_dim)`` mixed command ``sum_i w_i(s) kappa_i(s)``.  This is
-    the single batched kernel behind both the vectorized mixing environment
-    (:class:`repro.rl.env.VecMixingEnv`) and the mixed-controller teacher
-    (:meth:`repro.core.mixing.MixedController.batch_control`), so the
-    training MDP and the distillation teacher can never diverge.
+    the one copy of Eq. (4): the mixing environment
+    (:meth:`repro.core.mixing.AdaptiveMixingEnv.action_to_control_batch`),
+    the mixed-controller teacher
+    (:meth:`repro.core.mixing.MixedController.batch_control`) and the
+    fixed-weight ensemble all call it, so the training MDP and the
+    distillation teacher can never diverge.
     """
 
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))

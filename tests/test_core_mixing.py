@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import MixingConfig
-from repro.core.mixing import AdaptiveMixingEnv, MixedController, MixingTrainer, uniform_mixture
+from repro.baselines.fixed_ensemble import FixedWeightEnsemble
+from repro.core.mixing import AdaptiveMixingEnv, MixedController, MixingTrainer
 from repro.experts import LinearStateFeedback, make_default_experts
 from repro.rl.policies import GaussianMLPPolicy
 from repro.systems.simulation import safe_control_rate
@@ -109,7 +110,8 @@ class TestMixedController:
         assert mixed.num_parameters() > 0
 
     def test_uniform_mixture_reference(self, vanderpol, vanderpol_experts):
-        mixture = uniform_mixture(vanderpol, vanderpol_experts)
+        # The uniform mixture is the fixed ensemble with its default weights.
+        mixture = FixedWeightEnsemble(vanderpol, vanderpol_experts)
         state = np.array([0.2, 0.3])
         expected = 0.5 * (vanderpol_experts[0](state) + vanderpol_experts[1](state))
         np.testing.assert_allclose(mixture(state), np.clip(expected, -20, 20))

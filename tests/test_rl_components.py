@@ -216,13 +216,15 @@ class TestControlEnv:
 
     def test_reward_decreases_with_energy(self):
         reward = RewardFunction(energy_weight=0.1, survival_bonus=1.0)
-        low = reward(np.zeros(2), np.array([1.0]), np.zeros(2), safe=True)
-        high = reward(np.zeros(2), np.array([10.0]), np.zeros(2), safe=True)
+        low, high = reward.batch(
+            np.zeros((2, 2)), np.array([[1.0], [10.0]]), np.zeros((2, 2)), np.array([True, True])
+        )
         assert high < low
 
     def test_reward_punishment_on_unsafe(self):
         reward = RewardFunction(punishment=-50.0)
-        assert reward(np.zeros(2), np.zeros(1), np.zeros(2), safe=False) == pytest.approx(-50.0)
+        rewards = reward.batch(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 2)), np.array([False]))
+        assert rewards[0] == pytest.approx(-50.0)
 
     def test_action_space_matches_control_bound(self, vanderpol):
         env = ControlEnv(vanderpol)

@@ -115,3 +115,34 @@ class TestDDPGLearning:
         trainer = DDPGTrainer(env, config=config, rng=0)
         logger = trainer.train()
         assert logger.epochs() == 2
+
+
+class TestDDPGGolden:
+    """DDPG is the one trainer that drives the scalar environment, the
+    scalar deterministic policy and the scalar Eq. (4) hook; these digests
+    pin its seeded actors to the bit."""
+
+    @pytest.mark.parametrize(
+        "mixing, steps, digest",
+        [
+            (False, 204, "2edc231a66115b5b973588b7f2949d77a20906f1a333dd92fc40b078e7b22690"),
+            (True, 162, "bb85c09269f6c55812cf70bce69f933576b82681146c396ac36ae3f1f171f22a"),
+        ],
+        ids=["plain", "mixing"],
+    )
+    def test_seeded_actor_digest(self, mixing, steps, digest):
+        from repro.core.mixing import AdaptiveMixingEnv
+        from repro.experts import make_default_experts
+        from repro.nn.lipschitz import network_weights_digest
+        from repro.systems import make_system
+
+        system = make_system("vanderpol")
+        if mixing:
+            env = AdaptiveMixingEnv(system, make_default_experts(system), rng=0)
+        else:
+            env = ControlEnv(system, rng=0)
+        config = DDPGConfig(episodes=6, warmup_steps=32, batch_size=32, hidden_sizes=(16, 16), seed=0)
+        trainer = DDPGTrainer(env, config=config, rng=0)
+        trainer.train()
+        assert trainer._total_steps == steps
+        assert network_weights_digest(trainer.actor.net) == digest

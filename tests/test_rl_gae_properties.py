@@ -10,7 +10,9 @@ properties:
   bit** under every done-mask -- episode boundaries never leak across
   columns, and the batch-of-one case is the scalar kernel;
 * the vectorized ``RolloutBuffer`` flattens time-major and its minibatches
-  partition exactly the ``T * N`` stored transitions.
+  partition exactly the ``T * N`` stored transitions;
+* its one-row ``add`` reproduces the deleted list-of-scalars layout, kept
+  here verbatim as a reference.
 """
 
 from __future__ import annotations
@@ -20,6 +22,56 @@ import pytest
 
 from repro.rl.buffers import RolloutBuffer
 from repro.rl.gae import compute_gae, compute_gae_batch
+
+
+class LegacyScalarRolloutBuffer:
+    """Verbatim copy of the deleted single-environment ``RolloutBuffer``
+    layout (one list entry per scalar transition), kept as the reference
+    that the one-row :meth:`RolloutBuffer.add` must reproduce."""
+
+    def __init__(self):
+        self.states, self.actions, self.rewards = [], [], []
+        self.dones, self.values, self.log_probs = [], [], []
+        self.num_envs = 1
+        self.last_value = 0.0
+
+    def add(self, state, action, reward, done, value, log_prob):
+        self.states.append(np.asarray(state, dtype=np.float64))
+        self.actions.append(np.atleast_1d(np.asarray(action, dtype=np.float64)))
+        self.rewards.append(float(reward))
+        self.dones.append(bool(done))
+        self.values.append(float(value))
+        self.log_probs.append(float(log_prob))
+
+    def __len__(self):
+        return len(self.rewards)
+
+    def time_major(self):
+        horizon = len(self.rewards)
+        envs = 1
+        states = np.asarray(self.states, dtype=np.float64).reshape(horizon, envs, -1)
+        actions = np.asarray(self.actions, dtype=np.float64).reshape(horizon, envs, -1)
+        return {
+            "states": states,
+            "actions": actions,
+            "rewards": np.asarray(self.rewards, dtype=np.float64).reshape(horizon, envs),
+            "dones": np.asarray(self.dones, dtype=bool).reshape(horizon, envs),
+            "values": np.asarray(self.values, dtype=np.float64).reshape(horizon, envs),
+            "log_probs": np.asarray(self.log_probs, dtype=np.float64).reshape(horizon, envs),
+        }
+
+    def bootstrap_values(self):
+        return np.full(self.num_envs, float(self.last_value), dtype=np.float64)
+
+    def arrays(self):
+        return {
+            "states": np.asarray(self.states),
+            "actions": np.asarray(self.actions),
+            "rewards": np.asarray(self.rewards),
+            "dones": np.asarray(self.dones, dtype=bool),
+            "values": np.asarray(self.values),
+            "log_probs": np.asarray(self.log_probs),
+        }
 
 
 def _random_done_mask(rng, horizon, num_envs):
@@ -165,24 +217,30 @@ class TestVectorizedRolloutBufferProperties:
 
     def test_scalar_buffer_is_the_num_envs_1_case(self):
         rng = np.random.default_rng(0)
+        legacy = LegacyScalarRolloutBuffer()
         scalar = RolloutBuffer()
-        vector = RolloutBuffer(num_envs=1)
         for _ in range(7):
             state = rng.normal(size=3)
             action = rng.normal(size=2)
             reward, done = float(rng.normal()), bool(rng.uniform() < 0.3)
             value, log_prob = float(rng.normal()), float(rng.normal())
+            legacy.add(state, action, reward, done, value, log_prob)
             scalar.add(state, action, reward, done, value, log_prob)
-            vector.add_batch(state[None], action[None], [reward], [done], [value], [log_prob])
-        scalar.last_value = 0.75
-        vector.last_values = np.array([0.75])
+        legacy.last_value = 0.75
+        scalar.last_values = np.array([0.75])
 
-        scalar_data, vector_data = scalar.arrays(), vector.arrays()
-        for key in scalar_data:
-            np.testing.assert_array_equal(scalar_data[key], vector_data[key])
-        np.testing.assert_array_equal(scalar.bootstrap_values(), vector.bootstrap_values())
-        for key, value in scalar.time_major().items():
-            np.testing.assert_array_equal(value, vector.time_major()[key])
+        assert len(scalar) == len(legacy)
+        legacy_data, scalar_data = legacy.arrays(), scalar.arrays()
+        for key in legacy_data:
+            np.testing.assert_array_equal(legacy_data[key], scalar_data[key])
+            assert legacy_data[key].dtype == scalar_data[key].dtype
+        np.testing.assert_array_equal(legacy.bootstrap_values(), scalar.bootstrap_values())
+        for key, value in legacy.time_major().items():
+            np.testing.assert_array_equal(value, scalar.time_major()[key])
+
+    def test_unset_bootstrap_is_zero(self):
+        buffer = RolloutBuffer(num_envs=3)
+        np.testing.assert_array_equal(buffer.bootstrap_values(), np.zeros(3))
 
     def test_add_rejected_on_vectorized_buffer(self):
         buffer = RolloutBuffer(num_envs=2)

@@ -1,10 +1,12 @@
-"""Tests for the vectorized environments (VecControlEnv / VecMixingEnv).
+"""Tests for the vectorized environment (VecControlEnv).
 
 The scalar/vectorized equivalence at ``num_envs = 1`` is pinned bit-for-bit
 against the frozen legacy loops in ``tests/test_training_determinism.py``;
 this file covers the vectorized mechanics themselves: lockstep shapes,
 per-environment auto-reset, horizon bookkeeping, the per-row fallback for
-scalar subclasses, and the batched reward function.
+scalar subclasses, the batched Eq. (4) hook of the adaptive-mixing
+environment and the batched reward function.  The deleted scalar reward and
+vectorised mixing environment survive below as verbatim references.
 """
 
 from __future__ import annotations
@@ -14,8 +16,41 @@ import pytest
 
 from repro.core.mixing import AdaptiveMixingEnv
 from repro.experts import make_default_experts
-from repro.rl.env import ControlEnv, RewardFunction, VecControlEnv, VecMixingEnv
+from repro.rl.env import ControlEnv, RewardFunction, VecControlEnv
 from repro.systems import make_system
+from repro.systems.simulation import weighted_expert_controls
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: verbatim copies of deleted scalar/twin code.
+# ---------------------------------------------------------------------------
+
+
+def legacy_reward(reward, state, control, next_state, safe):
+    """The deleted scalar ``RewardFunction.__call__`` body."""
+
+    if not safe:
+        return float(reward.punishment)
+    energy = float(np.sum(np.abs(control)))
+    state_cost = float(np.sum(np.asarray(next_state) ** 2)) if reward.state_weight else 0.0
+    return float(reward.survival_bonus - reward.energy_weight * energy - reward.state_weight * state_cost)
+
+
+def legacy_action_to_control(env, action, state):
+    """The deleted scalar ``AdaptiveMixingEnv.action_to_control`` loop."""
+
+    weights = np.clip(np.atleast_1d(action), -env.weight_bounds, env.weight_bounds)
+    control = np.zeros(env.system.control_dim)
+    for weight, expert in zip(weights, env.experts):
+        control = control + weight * np.atleast_1d(expert(state))
+    return env.system.clip_control(control)
+
+
+def legacy_vec_mixing_controls(experts, weight_bounds, system, actions, states):
+    """The deleted ``VecMixingEnv.actions_to_controls`` body."""
+
+    weights = np.clip(np.atleast_2d(actions), -weight_bounds, weight_bounds)
+    return weighted_expert_controls(experts, weights, states, system.control_dim)
 
 
 @pytest.fixture
@@ -35,8 +70,8 @@ class TestRewardFunctionBatch:
         safe = rng.uniform(size=16) < 0.5
         batched = reward.batch(states, controls, next_states, safe)
         for index in range(16):
-            assert batched[index] == reward(
-                states[index], controls[index], next_states[index], bool(safe[index])
+            assert batched[index] == legacy_reward(
+                reward, states[index], controls[index], next_states[index], bool(safe[index])
             )
 
     def test_zero_state_weight_skips_state_cost(self):
@@ -152,38 +187,54 @@ class TestVecControlEnv:
 
 
 class TestVecMixingEnv:
-    def test_adaptive_mixing_env_vectorizes_to_vec_mixing(self):
+    """The adaptive-mixing MDP vectorizes through its batched Eq. (4) hook."""
+
+    def test_adaptive_mixing_env_vectorizes_through_batch_hook(self):
         system = make_system("vanderpol")
         experts = make_default_experts(system)
         env = AdaptiveMixingEnv(system, experts, rng=0)
         vec = env.vectorized(5)
-        assert isinstance(vec, VecMixingEnv)
-        assert vec.num_envs == 5
-        np.testing.assert_array_equal(vec.weight_bounds, env.weight_bounds)
+        assert type(vec) is VecControlEnv
+        assert vec.template is env and vec.num_envs == 5
+
+    def test_batch_hook_matches_deleted_vec_mixing_env_bitwise(self):
+        system = make_system("vanderpol")
+        experts = make_default_experts(system)
+        env = AdaptiveMixingEnv(system, experts, rng=0)
+        rng = np.random.default_rng(1)
+        states = system.safe_region.sample(rng, count=6)
+        actions = rng.uniform(-2.0, 2.0, size=(6, len(experts)))
+        expected = legacy_vec_mixing_controls(experts, env.weight_bounds, system, actions, states)
+        np.testing.assert_array_equal(env.actions_to_controls(actions, states), expected)
+
+        vec = env.vectorized(6)
+        vec.reset(initial_states=states)
+        _obs, _rewards, _dones, info = vec.step(actions)
+        np.testing.assert_array_equal(info["controls"], system.clip_control_batch(expected))
 
     def test_batched_controls_match_scalar_hook_rows(self):
         system = make_system("vanderpol")
         experts = make_default_experts(system)
         env = AdaptiveMixingEnv(system, experts, rng=0)
-        vec = env.vectorized(6)
         rng = np.random.default_rng(1)
         states = system.safe_region.sample(rng, count=6)
         actions = rng.uniform(-1.0, 1.0, size=(6, len(experts)))
-        batched = system.clip_control_batch(vec.actions_to_controls(actions, states))
+        batched = system.clip_control_batch(env.actions_to_controls(actions, states))
         for index in range(6):
-            scalar = system.clip_control(env.action_to_control(actions[index], states[index]))
-            np.testing.assert_allclose(batched[index], scalar, rtol=1e-12, atol=1e-12)
+            legacy = legacy_action_to_control(env, actions[index], states[index])
+            # The scalar hook is the batch-of-one: bit-identical to the
+            # deleted loop.  Wider batches may differ in the last bit.
+            np.testing.assert_array_equal(env.action_to_control(actions[index], states[index]), legacy)
+            np.testing.assert_allclose(batched[index], legacy, rtol=1e-12, atol=1e-12)
 
     def test_requires_two_experts(self):
         system = make_system("vanderpol")
         experts = make_default_experts(system)
-        env = ControlEnv(system, rng=0)
         with pytest.raises(ValueError):
-            VecMixingEnv(env, 2, experts[:1], 1.5)
+            AdaptiveMixingEnv(system, experts[:1], rng=0)
 
     def test_weight_bound_validation(self):
         system = make_system("vanderpol")
         experts = make_default_experts(system)
-        env = ControlEnv(system, rng=0)
         with pytest.raises(ValueError):
-            VecMixingEnv(env, 2, experts, [1.5, 1.5, 1.5])
+            AdaptiveMixingEnv(system, experts, weight_bound=[1.5, 1.5, 1.5], rng=0)
